@@ -141,12 +141,19 @@ def apply_operator(op, F: Form) -> Form:
 
 
 def catalecticant(F: Form, i: int) -> CatalecticantMatrix:
-    """The i-th catalecticant matrix of F; requires 0 <= i <= deg F."""
+    """The i-th catalecticant matrix of F; requires 0 <= i <= deg F and a
+    characteristic that is 0 or exceeds deg F."""
     if not 0 <= i <= F.degree:
         raise ValueError(
             f"catalecticant degree {i} out of range for a degree-{F.degree} form"
         )
     field = F.field
+    if 0 < field.char <= F.degree:
+        # differentiation multiplies by factorials up to deg F, which
+        # vanish mod such a characteristic and would silently drop terms
+        raise ValueError(
+            f"characteristic {field.char} does not exceed the degree {F.degree}"
+        )
     n = F.nvars
     row_index = monomial_index(n, i)
     col_index = monomial_index(n, F.degree - i)

@@ -33,7 +33,6 @@ from .restriction import (
 )
 from .search import (
     FBoundEntry,
-    _now,
     asymptotic_reference,
     gic_verify,
     known_min_h2,
@@ -177,11 +176,7 @@ def _cmd_realize(args, fld):
     }
     if certs:
         a0 = min(certs)
-        entry = FBoundEntry(
-            e=args.e, r=args.r, bound=a0, exact=(a0 == lo),
-            certificate=str(certs[a0]), nvars=certs[a0].nvars,
-            field_spec=fld.spec, seed=args.seed, timestamp=_now(),
-        )
+        entry = FBoundEntry.from_form(certs[a0], args.e, args.r, a0, args.seed)
         merge_store(_cache_path(args), [entry])
     return body, bool(gaps)
 

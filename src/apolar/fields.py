@@ -227,6 +227,14 @@ QQ = RationalField()
 DEFAULT_FIELD = GF(DEFAULT_PRIME)
 
 
+def random_nonzero(field, rng):
+    """A random nonzero scalar: draws from `field.random` until one is nonzero."""
+    while True:
+        c = field.random(rng)
+        if not field.is_zero(c):
+            return c
+
+
 def parse_field_spec(text: str):
     """Parse a field descriptor: "q" for the rationals, "p:MOD" for GF(MOD)."""
     text = text.strip().lower()

@@ -672,10 +672,6 @@ def _gcd2(A: Form, B: Form) -> Form:
     if not shared:
         return common_form
     v = min(shared, key=lambda u: (max(_deg_in(A, u), _deg_in(B, u)), u))
-    if _deg_in(A, v) == 0:
-        return common_form * _gcd2(_content_pp(A, v)[0], B)
-    if _deg_in(B, v) == 0:
-        return common_form * _gcd2(A, _content_pp(B, v)[0])
     contA, ppA = _content_pp(A, v)
     contB, ppB = _content_pp(B, v)
     c = _gcd2(contA, contB)

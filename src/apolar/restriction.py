@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     ZeroFormError,
 )
-from .fields import DEFAULT_FIELD
+from .fields import DEFAULT_FIELD, random_nonzero
 from .poly import Form, form_gcd, monomials_of_degree, random_form
 
 
@@ -201,18 +201,20 @@ def codim_drop_check(F: Form, trials: int, seed: int = 0) -> TrialReport:
         raise HypothesisError(
             f"form has codimension {c} but lives in {F.nvars} variables"
         )
-    report = TrialReport(
-        "codim-drop", trials, seed, F.field.spec
-    )
-    n = F.nvars - 1
+    report = TrialReport("codim-drop", trials, seed, F.field.spec)
     for t in range(trials):
-        rng = trial_rng(seed, t)
-        H = random_linear_form(F.nvars, F.field, rng)
-        G = restrict_mod(F, H)
-        observed = 0 if G.is_zero else codimension(G)
-        if observed != n:
-            report.witnesses.append(Witness(str(F), F.nvars, str(H), observed))
+        H = random_linear_form(F.nvars, F.field, trial_rng(seed, t))
+        _codim_drop_trial(F, H, report)
     return report
+
+
+def _codim_drop_trial(F: Form, H: LinearForm, report: TrialReport):
+    """Restrict F by H; record a witness unless the codimension drops to
+    exactly nvars - 1."""
+    G = restrict_mod(F, H)
+    observed = 0 if G.is_zero else codimension(G)
+    if observed != F.nvars - 1:
+        report.witnesses.append(Witness(str(F), F.nvars, str(H), observed))
 
 
 def _coefficient_matrix(forms, nvars, degree):
@@ -261,8 +263,10 @@ def restricted_rank(forms, H: LinearForm) -> int:
 
 
 def quadratic_is_split(q: Form) -> bool:
-    """True when the quadratic is a product of two linear forms, i.e. its
-    symmetric coefficient matrix has rank <= 2 (characteristic != 2)."""
+    """True when the quadratic is a product of two linear forms over the
+    algebraic closure, i.e. its symmetric coefficient matrix has rank <= 2
+    (characteristic != 2).  A rank-2 quadratic irreducible over the base
+    field, such as y0^2 - 3*y1^2 mod 2^31 - 1, counts as split."""
     if q.degree != 2:
         raise ValueError("expected a quadratic form")
     fld = q.field
@@ -306,13 +310,6 @@ def check_partials_gcd(factors) -> bool:
 # randomized suites over random instances (used by the CLI and acceptance)
 
 
-def _nonzero_scalar(fld, rng):
-    while True:
-        c = fld.random(rng)
-        if not fld.is_zero(c):
-            return c
-
-
 def _random_full_codim_form(nvars, degree, fld, rng, dense):
     """Random form of full codimension: random support plus all pure powers."""
     total = len(monomials_of_degree(nvars, degree))
@@ -325,7 +322,7 @@ def _random_full_codim_form(nvars, degree, fld, rng, dense):
             [
                 (
                     tuple(degree if j == i else 0 for j in range(nvars)),
-                    _nonzero_scalar(fld, rng),
+                    random_nonzero(fld, rng),
                 )
                 for i in range(nvars)
             ],
@@ -348,11 +345,7 @@ def run_codim_drop_suite(
         nvars = rng.randrange(3, 11)
         dense = rng.random() < 0.5
         F = _random_full_codim_form(nvars, degree, fld, rng, dense)
-        H = random_linear_form(nvars, fld, rng)
-        G = restrict_mod(F, H)
-        observed = 0 if G.is_zero else codimension(G)
-        if observed != nvars - 1:
-            report.witnesses.append(Witness(str(F), nvars, str(H), observed))
+        _codim_drop_trial(F, random_linear_form(nvars, fld, rng), report)
     return report
 
 
@@ -385,10 +378,6 @@ def run_restricted_rank_suite(
     return report
 
 
-def _random_linear_factor(nvars, fld, rng):
-    return random_form(nvars, 1, fld, rng)
-
-
 def _random_irreducible_quadratic(nvars, fld, rng):
     while True:
         q = random_form(nvars, 2, fld, rng)
@@ -413,7 +402,7 @@ def run_partials_gcd_suite(
             if deg == 2:
                 p = _random_irreducible_quadratic(nvars, fld, rng)
             else:
-                p = _random_linear_factor(nvars, fld, rng)
+                p = random_form(nvars, 1, fld, rng)
             p = p.monic()
             if p in seen:
                 continue
@@ -424,7 +413,7 @@ def run_partials_gcd_suite(
             if rng.random() < 0.3:
                 break
         if not factors:
-            factors = [(_random_linear_factor(nvars, fld, rng).monic(), 1)]
+            factors = [(random_form(nvars, 1, fld, rng).monic(), 1)]
         if not check_partials_gcd(factors):
             desc = " * ".join(f"({p})^{e}" for p, e in factors)
             report.witnesses.append(Witness(desc, nvars, "-", "gcd mismatch"))

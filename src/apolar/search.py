@@ -22,7 +22,7 @@ from .errors import (
     RealizationGapError,
     ZeroFormError,
 )
-from .fields import DEFAULT_FIELD, parse_field_spec
+from .fields import DEFAULT_FIELD, parse_field_spec, random_nonzero
 from .poly import Form, monomials_of_degree, parse_form, random_form
 from .restriction import random_linear_form, restrict_mod, trial_rng
 
@@ -180,6 +180,23 @@ class FBoundEntry:
         return out
 
     @classmethod
+    def from_form(cls, F: Form, e: int, r: int, bound: int, seed: int) -> "FBoundEntry":
+        """A timestamped entry certified by F; exact when the bound meets
+        the known minimum."""
+        known = known_min_h2(e, r)
+        return cls(
+            e=e,
+            r=r,
+            bound=bound,
+            exact=known is not None and bound == known,
+            certificate=str(F),
+            nvars=F.nvars,
+            field_spec=F.field.spec,
+            seed=seed,
+            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        )
+
+    @classmethod
     def from_dict(cls, d: dict) -> "FBoundEntry":
         return cls(
             e=int(d["e"]),
@@ -194,16 +211,27 @@ class FBoundEntry:
         )
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _sum_of_powers(r, e, count, fld, rng) -> Form:
     """Sum of `count` e-th powers of random linear forms in r variables."""
     F = Form.zero(r, fld)
     for _ in range(count):
         F = F + random_form(r, 1, fld, rng) ** e
     return F
+
+
+def _structured_forms(e: int, r: int, fld):
+    """The deterministic candidates at codimension r: the power sum, then
+    for m = 1..r-1 the bipartite form, padded up to codimension r while it
+    fits and truncated to r - m monomials once it does not.  A truncation
+    keeping fewer than m monomials never involves y_{m-1}, so it is
+    skipped."""
+    yield power_sum_form(r, e, fld)
+    for m in range(1, r):
+        s = math.comb(m + e - 2, e - 1)
+        if m + s <= r:
+            yield padded_form(bipartite_monomial_form(m, e, fld), r - m - s)
+        elif r - m >= m:
+            yield bipartite_monomial_form(m, e, fld, keep=r - m)
 
 
 def _candidate_h2(F: Form, e: int, r: int):
@@ -249,20 +277,14 @@ def search_min_h2(
         if best is None or key < (best[0], best[1]):
             best = (a, len(F.coeffs), F)
 
-    consider(power_sum_form(r, e, fld))
-    m = 1
-    while True:
-        s = math.comb(m + e - 2, e - 1)
-        if m + s > r:
-            break
-        consider(padded_form(bipartite_monomial_form(m, e, fld), r - m - s))
-        m += 1
+    for F in _structured_forms(e, r, fld):
+        consider(F)
+    # random keep-subsets of the bipartite monomials; key ties occur only
+    # within one m, where the truncation above is still seen first
     for m in range(2, min(r - 1, 10) + 1):
-        s_full = math.comb(m + e - 2, e - 1)
+        monos = monomials_of_degree(m, e - 1)
         keep = r - m
-        if 1 <= keep < s_full:
-            consider(bipartite_monomial_form(m, e, fld, keep=keep))
-            monos = monomials_of_degree(m, e - 1)
+        if keep < len(monos):
             for t in range(min(3, budget)):
                 rng = trial_rng(seed, 7000 * m + t)
                 subset = sorted(rng.sample(monos, keep), reverse=True)
@@ -272,30 +294,10 @@ def search_min_h2(
         rng = trial_rng(seed, 100000 + t)
         extra = rng.randrange(1, min(total, 6 * r) + 1)
         F = random_form(r, e, fld, rng, terms=extra)
-        F = F + power_sum_form(r, e, fld).scale(_nonzero(fld, rng))
+        F = F + power_sum_form(r, e, fld).scale(random_nonzero(fld, rng))
         consider(F)
     bound, _, F = best
-    return FBoundEntry(
-        e=e,
-        r=r,
-        bound=bound,
-        exact=known is not None and bound == known,
-        certificate=str(F),
-        nvars=F.nvars,
-        field_spec=fld.spec,
-        seed=seed,
-        timestamp=_now(),
-    )
-
-
-f_upper_bound = search_min_h2
-
-
-def _nonzero(fld, rng):
-    while True:
-        c = fld.random(rng)
-        if not fld.is_zero(c):
-            return c
+    return FBoundEntry.from_form(F, e, r, bound, seed)
 
 
 def classify_h_vector(e: int, r: int, a: int, table=()) -> str:
@@ -322,9 +324,6 @@ def classify_h_vector(e: int, r: int, a: int, table=()) -> str:
     return UNKNOWN
 
 
-classify_gorenstein_hf = classify_h_vector
-
-
 def realize_interval(
     e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD, tries: int = 24
 ) -> dict[int, Form]:
@@ -337,10 +336,13 @@ def realize_interval(
     if known is None:
         raise ValueError(f"codimension {r} is outside the certified exact range")
     cap = max_h2(r)
+    structured = {}
+    for F in _structured_forms(e, r, fld):
+        structured.setdefault(_candidate_h2(F, e, r), F)
     certs = {}
     gaps = []
     for a in range(known, cap + 1):
-        F = _realize_one(e, r, a, seed, fld, tries)
+        F = structured.get(a) or _realize_one(e, r, a, seed, fld, tries)
         if F is None:
             gaps.append(a)
         else:
@@ -351,27 +353,7 @@ def realize_interval(
 
 
 def _realize_one(e, r, a, seed, fld, tries):
-    if a == r:
-        F = power_sum_form(r, e, fld)
-        if verify_certificate(F, e, r, a):
-            return F
-    # bipartite family, padded up to codimension r when needed
-    m = 1
-    while True:
-        s = math.comb(m + e - 2, e - 1)
-        if m + s > r:
-            break
-        F = padded_form(bipartite_monomial_form(m, e, fld), r - m - s)
-        if _candidate_h2(F, e, r) == a:
-            return F
-        m += 1
-    for m in range(2, r):
-        s_full = math.comb(m + e - 2, e - 1)
-        keep = r - m
-        if 1 <= keep < s_full:
-            F = bipartite_monomial_form(m, e, fld, keep=keep)
-            if _candidate_h2(F, e, r) == a:
-                return F
+    """Random families for one target value the structured forms miss."""
     # sums of a powers of random linear forms realize every a in [r, cap]
     if a >= r:
         for t in range(tries):
@@ -397,8 +379,9 @@ def _realize_one(e, r, a, seed, fld, tries):
         rng = trial_rng(seed, 5000011 * a + t)
         size = rng.randrange(r, min(len(monos), 8 * r) + 1)
         support = monos[:size]
-        terms = [(mono, _nonzero(fld, rng)) for mono in support]
-        F = Form(r, fld, terms) + power_sum_form(r, e, fld).scale(_nonzero(fld, rng))
+        terms = [(mono, random_nonzero(fld, rng)) for mono in support]
+        F = Form(r, fld, terms)
+        F = F + power_sum_form(r, e, fld).scale(random_nonzero(fld, rng))
         if _candidate_h2(F, e, r) == a:
             return F
     return None

@@ -5,14 +5,14 @@ import pytest
 from apolar import (
     CorruptCacheError,
     FBoundEntry,
-    f_upper_bound,
     load_table,
     merge_store,
+    search_min_h2,
 )
 
 
 def _entry(e=4, r=5, seed=0, budget=5):
-    return f_upper_bound(e, r, budget=budget, seed=seed)
+    return search_min_h2(e, r, budget=budget, seed=seed)
 
 
 def test_round_trip_identity(tmp_path):

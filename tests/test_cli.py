@@ -56,6 +56,18 @@ def test_hf_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
+def test_hf_refuses_characteristic_not_above_degree(capsys):
+    # mod 7 the factorials of a degree-7 form vanish; q gives (1,2,2,2,2,2,2,1)
+    argv = ["hf", "--form", "y0^7+y1^7", "--vars", "2"]
+    code, out, err = _run(capsys, argv + ["--field", "p:7"])
+    assert code == 2
+    assert out == ""
+    assert "characteristic 7" in err
+    code, out, _ = _run(capsys, argv + ["--field", "p:11"])
+    assert code == 0
+    assert "(1,2,2,2,2,2,2,1)" in out
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()

@@ -1,5 +1,7 @@
 import pytest
 
+import apolar
+import apolar.search
 from apolar import (
     QQ,
     DEFAULT_FIELD,
@@ -9,10 +11,8 @@ from apolar import (
     ZeroFormError,
     asymptotic_reference,
     bipartite_monomial_form,
-    classify_gorenstein_hf,
     classify_h_vector,
     codimension,
-    f_upper_bound,
     gic_verify,
     hilbert_function,
     known_min_h2,
@@ -94,7 +94,7 @@ def test_verify_certificate():
 
 
 def test_fbound_entry_round_trip_and_verify():
-    en = f_upper_bound(4, 13, budget=5, seed=0)
+    en = search_min_h2(4, 13, budget=5, seed=0)
     assert en.bound == 12 and en.exact
     assert en.verify()
     d = en.to_dict()
@@ -109,19 +109,19 @@ def test_fbound_entry_round_trip_and_verify():
 
 def test_f_upper_bound_exact_range():
     for r in (3, 7, 12):
-        en = f_upper_bound(4, r, budget=5, seed=0)
+        en = search_min_h2(4, r, budget=5, seed=0)
         assert en.bound == r and en.exact
         F = en.parse_certificate()
         assert codimension(F) == r
-    en = f_upper_bound(5, 16, budget=5, seed=0)
+    en = search_min_h2(5, 16, budget=5, seed=0)
     assert en.bound == 16 and en.exact
 
 
 def test_f_upper_bound_beyond_exact_range():
-    en = f_upper_bound(4, 14, budget=20, seed=0)
+    en = search_min_h2(4, 14, budget=20, seed=0)
     assert en.bound <= 13 and not en.exact
     assert en.verify()
-    en5 = f_upper_bound(5, 17, budget=20, seed=0)
+    en5 = search_min_h2(5, 17, budget=20, seed=0)
     assert en5.bound <= 16 and not en5.exact
 
 
@@ -129,15 +129,20 @@ def test_f_upper_bound_is_deterministic():
     a = search_min_h2(4, 9, budget=10, seed=42)
     b = search_min_h2(4, 9, budget=10, seed=42)
     assert a.to_dict(with_timestamp=False) == b.to_dict(with_timestamp=False)
-    assert f_upper_bound is search_min_h2
     with pytest.raises(ValueError):
-        f_upper_bound(3, 5)
+        search_min_h2(3, 5)
+
+
+def test_public_names_are_unique():
+    names = {}
+    for name in apolar.__all__:
+        first = names.setdefault(id(getattr(apolar, name)), name)
+        assert first == name, f"{name} is an alias of {first}"
 
 
 def test_classification_socle_degree_three():
     assert classify_h_vector(3, 7, 7) == "gorenstein"
     assert classify_h_vector(3, 7, 6) == "not-gorenstein"
-    assert classify_gorenstein_hf is classify_h_vector
 
 
 def test_classification_exact_range():
@@ -151,7 +156,7 @@ def test_classification_exact_range():
 
 
 def test_classification_beyond_range_uses_table():
-    en = f_upper_bound(4, 14, budget=20, seed=0)
+    en = search_min_h2(4, 14, budget=20, seed=0)
     assert classify_h_vector(4, 14, en.bound, [en]) == "gorenstein"
     assert classify_h_vector(4, 14, en.bound - 1, [en]) == "unknown"
     assert classify_h_vector(4, 14, 10, []) == "unknown"
@@ -169,6 +174,19 @@ def test_realize_interval_small():
         realize_interval(3, 5)
 
 
+def test_realize_interval_ranks_each_form_once(monkeypatch):
+    seen = []
+
+    def counting(F):
+        seen.append((F.nvars, str(F)))
+        return hilbert_function(F)
+
+    monkeypatch.setattr(apolar.search, "hilbert_function", counting)
+    certs = realize_interval(4, 8, seed=0)
+    assert sorted(certs) == list(range(8, max_h2(8) + 1))
+    assert len(seen) == len(set(seen))
+
+
 def test_realize_interval_socle_five():
     certs = realize_interval(5, 3, seed=0)
     assert sorted(certs) == list(range(3, 7))
@@ -183,7 +201,7 @@ def test_realization_gap_error_shape():
 
 
 def test_gic_verify_known_ranges():
-    table = [f_upper_bound(4, r, budget=10, seed=0) for r in range(3, 14)]
+    table = [search_min_h2(4, r, budget=10, seed=0) for r in range(3, 14)]
     rep = gic_verify(4, 3, 13, table, seed=0)
     assert rep.nondecreasing and rep.ok
     for row in rep.rows:
@@ -193,7 +211,7 @@ def test_gic_verify_known_ranges():
 
 
 def test_gic_verify_incomplete_table():
-    table = [f_upper_bound(4, r, budget=5, seed=0) for r in (3, 5)]
+    table = [search_min_h2(4, r, budget=5, seed=0) for r in (3, 5)]
     with pytest.raises(IncompleteTableError):
         gic_verify(4, 3, 5, table)
     with pytest.raises(ValueError):
@@ -201,7 +219,7 @@ def test_gic_verify_incomplete_table():
 
 
 def test_gic_verify_flags_bound_inversion():
-    table = [f_upper_bound(4, r, budget=5, seed=0) for r in (11, 12)]
+    table = [search_min_h2(4, r, budget=5, seed=0) for r in (11, 12)]
     # forge an entry claiming a bound below the exact value at r = 11
     forged = FBoundEntry(
         e=4, r=13, bound=9, exact=False,
@@ -216,7 +234,7 @@ def test_gic_verify_flags_bound_inversion():
 
 
 def test_gic_report_serializes():
-    table = [f_upper_bound(4, r, budget=5, seed=0) for r in (3, 4)]
+    table = [search_min_h2(4, r, budget=5, seed=0) for r in (3, 4)]
     d = gic_verify(4, 3, 4, table, seed=0).to_dict()
     assert d["e"] == 4 and len(d["rows"]) == 2
     assert {"rows", "violations", "descent", "nondecreasing"} <= set(d)
