@@ -1,10 +1,11 @@
 """Exact rank kernels.
 
-Over GF(p) the matrix is eliminated with ordinary row reduction; when p*p
-fits below 2^62 the inner loop runs vectorized on int64 (a product of two
-residues plus one subtraction cannot overflow).  Over the rationals rows
-are cleared of denominators and reduced with fraction-free Bareiss
-elimination, so every intermediate value is an exact integer minor.
+Over GF(p) the matrix is eliminated with vectorized row reduction, on
+int64 when p*p fits below 2^62 (a product of two residues plus one
+subtraction cannot overflow) and on Python integers in an object array
+otherwise.  Over the rationals rows are cleared of denominators and
+reduced with fraction-free Bareiss elimination, so every intermediate
+value is an exact integer minor.
 
 Rank is computed on whichever orientation has fewer rows; all-zero rows
 and columns are pruned before elimination.
@@ -58,12 +59,7 @@ def rank_mod_p(rows, p: int) -> int:
         return 0
     if len(A) > len(A[0]):
         A = [list(col) for col in zip(*A)]
-    if p * p < _INT64_SAFE:
-        return _rank_mod_p_int64(np.array(A, dtype=np.int64), p)
-    return _rank_mod_p_python(A, p)
-
-
-def _rank_mod_p_int64(A, p: int) -> int:
+    A = np.array(A, dtype=np.int64 if p * p < _INT64_SAFE else object)
     m, n = A.shape
     r = 0
     for c in range(n):
@@ -82,26 +78,6 @@ def _rank_mod_p_int64(A, p: int) -> int:
         if hot.size:
             block = A[r + 1 :, c:]
             block[hot] = (block[hot] - f[hot, None] * A[r, c:][None, :]) % p
-        r += 1
-    return r
-
-
-def _rank_mod_p_python(A, p: int) -> int:
-    m, n = len(A), len(A[0])
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if A[i][c] % p), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [v * inv % p for v in A[r]]
-        for i in range(r + 1, m):
-            f = A[i][c] % p
-            if f:
-                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[r])]
         r += 1
     return r
 

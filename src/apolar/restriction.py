@@ -33,9 +33,19 @@ from .fields import DEFAULT_FIELD, random_nonzero
 from .poly import Form, form_gcd, monomials_of_degree, random_form
 
 
+_INDEX_BITS = 20
+
+
 def trial_rng(seed: int, index: int) -> random.Random:
-    """Generator for one trial; a function of (seed, index) only."""
-    return random.Random((seed << 20) + index)
+    """Generator for one trial; a function of (seed, index) only.  Requires
+    seed >= 0 and 0 <= index < 2^20, so distinct pairs never share a
+    stream."""
+    if seed < 0 or not 0 <= index < 1 << _INDEX_BITS:
+        raise ValueError(
+            f"trial stream (seed={seed}, index={index}) needs seed >= 0 "
+            f"and 0 <= index < 2^{_INDEX_BITS}"
+        )
+    return random.Random((seed << _INDEX_BITS) + index)
 
 
 class LinearForm:
@@ -269,19 +279,8 @@ def quadratic_is_split(q: Form) -> bool:
     field, such as y0^2 - 3*y1^2 mod 2^31 - 1, counts as split."""
     if q.degree != 2:
         raise ValueError("expected a quadratic form")
-    fld = q.field
-    n = q.nvars
-    mat = [[fld.zero] * n for _ in range(n)]
-    for mono, c in q.coeffs.items():
-        support = [i for i, e in enumerate(mono) if e]
-        if len(support) == 1:
-            i = support[0]
-            mat[i][i] = fld.add(c, c)
-        else:
-            i, j = support
-            mat[i][j] = c
-            mat[j][i] = c
-    return linalg.matrix_rank(mat, fld) <= 2
+    # the first catalecticant is that matrix: 2c on the diagonal, c off it
+    return codimension(q) <= 2
 
 
 def check_partials_gcd(factors) -> bool:

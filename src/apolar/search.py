@@ -7,6 +7,12 @@ function is recomputed by exact rank before it is trusted; entries record
 the field that produced them.  Known exact values of the least degree-2
 entry (codimension <= 13 in socle degree 4, <= 16 in socle degree 5) gate
 the `exact` flag and the classification of h-vectors.
+
+Interval realization takes the deterministic structured forms first and
+fills the remaining values from a single chain of power sums, one added
+random power per value; a step that fails its fixed number of retries
+ends the chain, and every later value no structured form covers is
+reported as a gap.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ UNKNOWN = "unknown"
 F4_EXACT = {r: r for r in range(1, 13)}
 F4_EXACT[13] = 12
 F5_EXACT = {r: r for r in range(1, 17)}
+
+# random linear forms tried per step of realize_interval's power-sum chain
+_CHAIN_TRIES = 24
 
 
 def known_min_h2(e: int, r: int):
@@ -158,11 +167,13 @@ class FBoundEntry:
         return parse_form(self.certificate, self.nvars, parse_field_spec(self.field_spec))
 
     def verify(self) -> bool:
+        """False for an entry that does not parse, has no h-vector shape
+        (unsupported socle degree) or fails re-verification."""
         try:
             F = self.parse_certificate()
+            return verify_certificate(F, self.e, self.r, self.bound)
         except (ValueError, ZeroDivisionError):
             return False
-        return verify_certificate(F, self.e, self.r, self.bound)
 
     def to_dict(self, with_timestamp: bool = True) -> dict:
         out = {
@@ -209,14 +220,6 @@ class FBoundEntry:
             seed=int(d["seed"]),
             timestamp=d.get("timestamp"),
         )
-
-
-def _sum_of_powers(r, e, count, fld, rng) -> Form:
-    """Sum of `count` e-th powers of random linear forms in r variables."""
-    F = Form.zero(r, fld)
-    for _ in range(count):
-        F = F + random_form(r, 1, fld, rng) ** e
-    return F
 
 
 def _structured_forms(e: int, r: int, fld):
@@ -324,67 +327,41 @@ def classify_h_vector(e: int, r: int, a: int, table=()) -> str:
     return UNKNOWN
 
 
-def realize_interval(
-    e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD, tries: int = 24
-) -> dict[int, Form]:
+def realize_interval(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> dict[int, Form]:
     """A verified certificate for every degree-2 entry in the full interval
-    [known minimum, C(r+1,2)].  Raises RealizationGapError listing any
-    value not realized within the per-value retry budget."""
+    [known minimum, C(r+1,2)].
+
+    Values hit by a structured form take that form.  The rest come from one
+    chain of power sums: starting at the power sum (h_2 = r), each step adds
+    the e-th power of a random linear form, since a sum of a general powers
+    has h_2 = min(a, C(r+1,2)).  The first sum at step a whose degree-2
+    entry is a is kept and extended; when every retry of a step fails the
+    chain ends.  Raises RealizationGapError listing every value left
+    without a certificate."""
     if e not in (4, 5):
         raise ValueError(f"unsupported socle degree {e}")
     known = known_min_h2(e, r)
     if known is None:
         raise ValueError(f"codimension {r} is outside the certified exact range")
     cap = max_h2(r)
-    structured = {}
-    for F in _structured_forms(e, r, fld):
-        structured.setdefault(_candidate_h2(F, e, r), F)
     certs = {}
-    gaps = []
-    for a in range(known, cap + 1):
-        F = structured.get(a) or _realize_one(e, r, a, seed, fld, tries)
-        if F is None:
-            gaps.append(a)
+    for F in _structured_forms(e, r, fld):
+        certs.setdefault(_candidate_h2(F, e, r), F)
+    chain = power_sum_form(r, e, fld)
+    for a in range(r + 1, cap + 1):
+        for t in range(_CHAIN_TRIES):
+            S = chain + random_form(r, 1, fld, trial_rng(seed, 1009 * a + t)) ** e
+            if _candidate_h2(S, e, r) == a:
+                chain = S
+                certs.setdefault(a, S)
+                break
         else:
-            certs[a] = F
+            break
+    certs = {a: certs[a] for a in range(known, cap + 1) if a in certs}
+    gaps = [a for a in range(known, cap + 1) if a not in certs]
     if gaps:
         raise RealizationGapError(gaps, certs)
     return certs
-
-
-def _realize_one(e, r, a, seed, fld, tries):
-    """Random families for one target value the structured forms miss."""
-    # sums of a powers of random linear forms realize every a in [r, cap]
-    if a >= r:
-        for t in range(tries):
-            rng = trial_rng(seed, 1009 * a + t)
-            F = _sum_of_powers(r, e, a, fld, rng)
-            if verify_certificate(F, e, r, a):
-                return F
-    # padding a lower-codimension sum of powers sweeps the same values
-    for s in range(r - 1, 0, -1):
-        b = a - (r - s)
-        if s <= b <= max_h2(s):
-            for t in range(max(2, tries // 4)):
-                rng = trial_rng(seed, 2003 * a + 17 * s + t)
-                G = _sum_of_powers(s, e, b, fld, rng)
-                if verify_certificate(G, e, s, b):
-                    F = padded_form(G, r - s)
-                    if verify_certificate(F, e, r, a):
-                        return F
-            break
-    # last resort: random forms on graded-lex monomial prefixes
-    monos = monomials_of_degree(r, e)
-    for t in range(tries):
-        rng = trial_rng(seed, 5000011 * a + t)
-        size = rng.randrange(r, min(len(monos), 8 * r) + 1)
-        support = monos[:size]
-        terms = [(mono, random_nonzero(fld, rng)) for mono in support]
-        F = Form(r, fld, terms)
-        F = F + power_sum_form(r, e, fld).scale(random_nonzero(fld, rng))
-        if _candidate_h2(F, e, r) == a:
-            return F
-    return None
 
 
 @dataclass

@@ -5,6 +5,7 @@ from apolar import (
     QQ,
     DEFAULT_FIELD,
     DEFAULT_PRIME,
+    GF,
     Form,
     HilbertFunction,
     ZeroFormError,
@@ -114,6 +115,18 @@ def test_matches_span_oracle():
         rng = trial_rng(8, t)
         fld = QQ if t % 2 else DEFAULT_FIELD
         p = None if t % 2 else DEFAULT_PRIME
+        F = random_form(rng.randrange(2, 5), rng.randrange(2, 5), fld, rng,
+                        terms=rng.randrange(2, 9))
+        got = tuple(hilbert_function(F))
+        assert got == span_oracle.span_hilbert(F.coeffs, F.nvars, F.degree, p)
+
+
+def test_matches_span_oracle_beyond_int64_primes():
+    # p*p >= 2^62 moves mod-p elimination onto Python integers
+    p = 2**61 - 1
+    fld = GF(p)
+    for t in range(6):
+        rng = trial_rng(10, t)
         F = random_form(rng.randrange(2, 5), rng.randrange(2, 5), fld, rng,
                         terms=rng.randrange(2, 9))
         got = tuple(hilbert_function(F))

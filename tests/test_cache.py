@@ -88,6 +88,19 @@ def test_malformed_entry_dropped_with_warning(tmp_path, caplog):
     assert any("malformed" in rec.message for rec in caplog.records)
 
 
+def test_unsupported_socle_degree_dropped_with_warning(tmp_path, caplog):
+    path = tmp_path / "cache.json"
+    good = _entry(4, 5)
+    odd = dict(good.to_dict(), e=6, r=2, bound=2, certificate="y0^6 + y1^6", nvars=2)
+    path.write_text(json.dumps([odd, good.to_dict()]))
+    with caplog.at_level("WARNING"):
+        loaded = load_table(str(path))
+    assert [(en.e, en.r) for en in loaded] == [(4, 5)]
+    assert any("re-verification" in rec.message for rec in caplog.records)
+    merged = merge_store(str(path), [_entry(4, 4)])
+    assert [(en.e, en.r) for en in merged] == [(4, 4), (4, 5)]
+
+
 def test_structurally_broken_files_raise(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -105,6 +105,14 @@ def test_restrict_random_hyperplane_is_seeded(capsys):
     assert out1 == out2
 
 
+def test_negative_seed_exits_2(capsys):
+    # a negative seed would replay the stream of its absolute value
+    argv = ["restrict", "--form", "y0^3 + y1^3 + y2^3", "--vars", "3", "--seed"]
+    code, out, err = _run(capsys, argv + ["-1"])
+    assert code == 2 and out == "" and "seed" in err
+    assert _run(capsys, argv + ["1"])[0] == 0
+
+
 def test_check_lemmas_passes(capsys):
     code, out, _ = _run(capsys, ["check-lemmas", "--trials", "5", "--seed", "7"])
     assert code == 0

@@ -44,6 +44,20 @@ def test_trial_rng_reproducible_and_distinct():
     assert trial_rng(6, 7).random() != trial_rng(5, 7).random()
 
 
+def test_trial_rng_refuses_overlapping_streams():
+    # (seed << 20) + index is injective only on seed >= 0, 0 <= index < 2^20
+    assert trial_rng(57, 231300).random() == trial_rng(57, 231300).random()
+    with pytest.raises(ValueError):
+        trial_rng(0, 5000011 * 12)  # was the stream of (57, 231300)
+    with pytest.raises(ValueError):
+        trial_rng(-1, 0)  # was the stream of (1, 0)
+    with pytest.raises(ValueError):
+        trial_rng(0, -1)
+    trial_rng(0, 2**20 - 1)
+    with pytest.raises(ValueError):
+        trial_rng(0, 2**20)
+
+
 def test_linear_form_validation():
     H = LinearForm([1, 2, 0], DEFAULT_FIELD)
     assert H.pivot == 1  # last nonzero index by default
@@ -200,6 +214,8 @@ def test_quadratic_is_split():
     assert quadratic_is_split(parse_form("y0^2 + y1^2", 3, QQ))  # rank 2
     assert not quadratic_is_split(parse_form("y0^2 + y1^2 + y2^2", 3, QQ))
     assert not quadratic_is_split(parse_form("y0*y1 + y2^2", 3, QQ))
+    # irreducible over GF(2^31 - 1) (3 is not a square there) yet split
+    assert quadratic_is_split(parse_form("y0^2 - 3*y1^2", 3, DEFAULT_FIELD))
 
 
 def test_check_partials_gcd_explicit_cases():

@@ -2,10 +2,13 @@ import pytest
 
 import apolar
 import apolar.search
+import span_oracle
 from apolar import (
+    GF,
     QQ,
     DEFAULT_FIELD,
     FBoundEntry,
+    Form,
     IncompleteTableError,
     RealizationGapError,
     ZeroFormError,
@@ -185,6 +188,31 @@ def test_realize_interval_ranks_each_form_once(monkeypatch):
     certs = realize_interval(4, 8, seed=0)
     assert sorted(certs) == list(range(8, max_h2(8) + 1))
     assert len(seen) == len(set(seen))
+
+
+def test_realize_interval_builds_one_chain_of_powers(monkeypatch):
+    # one added power per value above the power sum, with at most one retry
+    # each on average: 2 * (C(9, 2) - 8) powers for r = 8
+    calls = []
+    pow_ = Form.__pow__
+
+    def counting(self, k):
+        calls.append(k)
+        return pow_(self, k)
+
+    monkeypatch.setattr(Form, "__pow__", counting)
+    certs = realize_interval(4, 8, seed=0)
+    assert sorted(certs) == list(range(8, max_h2(8) + 1))
+    assert len(calls) <= 2 * (max_h2(8) - 8)
+
+
+def test_realize_interval_small_field_matches_oracle():
+    fld = GF(7)
+    certs = realize_interval(5, 4, seed=0, fld=fld)
+    assert sorted(certs) == list(range(4, max_h2(4) + 1))
+    for a, F in certs.items():
+        got = span_oracle.span_hilbert(F.coeffs, F.nvars, F.degree, 7)
+        assert got == (1, 4, a, a, 4, 1)
 
 
 def test_realize_interval_socle_five():

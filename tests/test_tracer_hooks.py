@@ -1,0 +1,34 @@
+"""The per-layer tracer in perfbench/ wraps apolar names from outside the
+package; these checks fail when a refactor renames one of them, which would
+otherwise only surface when `perfbench/run.py --trace 1` is run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from apolar import QQ, FBoundEntry, Form, catalecticant, parse_form
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist():
+    tracer = _tracer()
+    for module, attr, _ in tracer.SPANS:
+        mod = importlib.import_module(f"apolar.{module}")
+        assert callable(getattr(mod, attr, None)), f"apolar.{module}.{attr}"
+    for attr, _ in tracer.FORM_OPS:
+        assert attr in vars(Form), attr
+    assert "verify" in vars(FBoundEntry)
+
+
+def test_counted_attributes_exist():
+    # the catalecticant hook reads these from every matrix it sees
+    mat = catalecticant(parse_form("y0^4 + y1^4", 2, QQ), 2)
+    assert mat.nrows * mat.ncols == 9 and len(mat.entries) == 2
