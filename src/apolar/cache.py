@@ -5,11 +5,12 @@ certificate by reparsing the form and recomputing its Hilbert function;
 entries that fail are dropped with a warning rather than trusted.  Storing
 merges new entries in, keeping the smallest bound per (socle degree,
 codimension) pair and preferring the incumbent on ties, and writes
-atomically.
+atomically under an exclusive lock on a sidecar `.lock` file.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -60,25 +61,30 @@ def load_table(path: str, missing_ok: bool = True) -> list[FBoundEntry]:
 def merge_store(path: str, entries) -> list[FBoundEntry]:
     """Merge `entries` into the table at `path` and write it back
     atomically.  Per (e, r) the smallest bound wins; on a tie the entry
-    already in the file is kept.  Returns the merged table."""
-    table = {(en.e, en.r): en for en in load_table(path, missing_ok=True)}
-    for en in entries:
-        key = (en.e, en.r)
-        old = table.get(key)
-        if old is None or en.bound < old.bound:
-            table[key] = en
-    merged = [table[key] for key in sorted(table)]
-    payload = json.dumps([en.to_dict() for en in merged], indent=2)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-        os.replace(tmp, path)
-    except BaseException:
+    already in the file is kept.  Returns the merged table.
+
+    The whole load-merge-write holds an exclusive flock on the sidecar file
+    `path + ".lock"`, so a concurrent writer's entries are never lost."""
+    with open(path + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        table = {(en.e, en.r): en for en in load_table(path, missing_ok=True)}
+        for en in entries:
+            key = (en.e, en.r)
+            old = table.get(key)
+            if old is None or en.bound < old.bound:
+                table[key] = en
+        merged = [table[key] for key in sorted(table)]
+        payload = json.dumps([en.to_dict() for en in merged], indent=2)
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
     return merged

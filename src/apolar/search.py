@@ -248,6 +248,12 @@ def _candidate_h2(F: Form, e: int, r: int):
     return a if tuple(hf) == expected_hf(e, r, a) else None
 
 
+# the random perturbations draw trial_rng indices _PERTURB_BASE + t, which
+# must stay below 2^20
+_PERTURB_BASE = 100000
+_MAX_BUDGET = (1 << 20) - _PERTURB_BASE
+
+
 def search_min_h2(
     e: int, r: int, budget: int = 50, seed: int = 0, fld=DEFAULT_FIELD
 ) -> FBoundEntry:
@@ -259,8 +265,8 @@ def search_min_h2(
         raise ValueError(f"unsupported socle degree {e}")
     if r < 1:
         raise ValueError(f"codimension {r} < 1")
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    if not 1 <= budget <= _MAX_BUDGET:
+        raise ValueError(f"budget must be in [1, {_MAX_BUDGET}], got {budget}")
     known = known_min_h2(e, r)
     best = None  # (bound, sparsity, Form)
 
@@ -294,7 +300,7 @@ def search_min_h2(
                 consider(_bipartite_from_monomials(m, subset, fld))
     total = len(monomials_of_degree(r, e))
     for t in range(budget):
-        rng = trial_rng(seed, 100000 + t)
+        rng = trial_rng(seed, _PERTURB_BASE + t)
         extra = rng.randrange(1, min(total, 6 * r) + 1)
         F = random_form(r, e, fld, rng, terms=extra)
         F = F + power_sum_form(r, e, fld).scale(random_nonzero(fld, rng))

@@ -1,12 +1,20 @@
+import fcntl
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import apolar
 from apolar import (
+    DEFAULT_FIELD,
     CorruptCacheError,
     FBoundEntry,
     load_table,
     merge_store,
+    power_sum_form,
     search_min_h2,
 )
 
@@ -118,3 +126,46 @@ def test_store_writes_valid_sorted_json(tmp_path):
     keys = [(d["e"], d["r"]) for d in data]
     assert keys == sorted(keys)
     assert all("timestamp" in d for d in data)
+
+
+_CHILD_WRITER = """
+import sys
+from apolar import DEFAULT_FIELD, FBoundEntry, merge_store, power_sum_form
+entry = FBoundEntry.from_form(power_sum_form(4, 4, DEFAULT_FIELD), 4, 4, 4, 0)
+print("ready", flush=True)
+merge_store(sys.argv[1], [entry])
+"""
+
+
+def test_concurrent_writer_waits_for_the_lock(tmp_path):
+    # two processes: this one holds the lock while it stores (4, 5); the
+    # child's merge_store must wait, then load that entry and keep it
+    path = str(tmp_path / "cache.json")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(apolar.__file__)),
+                      env.get("PYTHONPATH")])
+    )
+    child = None
+    try:
+        with open(path + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            child = subprocess.Popen(
+                [sys.executable, "-c", _CHILD_WRITER, path],
+                env=env, stdout=subprocess.PIPE, text=True,
+            )
+            assert child.stdout.readline() == "ready\n"
+            time.sleep(0.5)
+            assert child.poll() is None and not os.path.exists(path)
+            mine = FBoundEntry.from_form(
+                power_sum_form(5, 4, DEFAULT_FIELD), 4, 5, 5, 0
+            )
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump([mine.to_dict()], fh)
+        child.communicate(timeout=60)
+        assert child.returncode == 0
+    finally:
+        if child is not None and child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert [(en.e, en.r) for en in load_table(path)] == [(4, 4), (4, 5)]

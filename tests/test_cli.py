@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from apolar import load_table
 from apolar.cli import run
 
@@ -118,6 +120,24 @@ def test_check_lemmas_passes(capsys):
     assert code == 0
     assert "ok: true" in out
     assert "codim-drop: 5 trials, 0 failures" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-lemmas", "--trials", "-5"],
+        ["check-lemmas", "--trials", "0"],
+        ["check-lemmas", "--trials", "1048577"],  # 2^20 + 1
+        ["search-f", "--e", "4", "--r", "5", "--budget", "948577"],  # 2^20 - 100000 + 1
+    ],
+    ids=["trials-negative", "trials-zero", "trials-above-2^20", "budget-above-948576"],
+)
+def test_out_of_range_trial_counts_exit_2(capsys, tmp_path, argv):
+    # refused before any trial runs, never answered with exit 0
+    code, out, err = _run(capsys, argv + ["--cache", str(tmp_path / "c.json")])
+    assert code == 2 and out == ""
+    assert "must be in [1, " in err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_search_f_writes_cache(tmp_path, capsys):

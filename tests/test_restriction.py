@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import span_oracle
 from apolar import (
+    GF,
     QQ,
     DEFAULT_FIELD,
     DEFAULT_PRIME,
@@ -13,6 +16,7 @@ from apolar import (
     ZeroFormError,
     check_partials_gcd,
     codim_drop_check,
+    form_gcd,
     hilbert_function,
     parse_form,
     power_sum_form,
@@ -26,6 +30,8 @@ from apolar import (
     run_restricted_rank_suite,
     trial_rng,
 )
+from apolar import restriction
+from apolar.cli import run
 
 
 def _eval_dict(coeffs, point, p):
@@ -227,12 +233,62 @@ def test_check_partials_gcd_explicit_cases():
     assert check_partials_gcd([(L1, 3)])
     assert check_partials_gcd([(Q, 2), (L1, 1)])
     assert check_partials_gcd([(L1, 1), (L2, 1)])  # squarefree: gcd is 1
+    # F = 2*L1^2 predicts gcd 1, but its partials share L1
+    assert not check_partials_gcd([(L1, 1), (L1.scale(2), 1)])
     with pytest.raises(ValueError):
         check_partials_gcd([])
     with pytest.raises(ValueError):
         check_partials_gcd([(L1, 0)])
     with pytest.raises(ValueError):
         check_partials_gcd([(Form.constant(3, fld, fld.one), 2)])
+
+
+@pytest.mark.parametrize(
+    "fld", [QQ, GF(7), DEFAULT_FIELD, GF(2**61 - 1)], ids=lambda f: f.spec
+)
+def test_coprime_on_plane_is_one_sided(fld):
+    certified = 0
+    for t in range(12):
+        rng = trial_rng(61, t)
+        nv = rng.randrange(3, 5)
+        forms = [random_form(nv, rng.randrange(1, 3), fld, rng, terms=3)
+                 for _ in range(3)]
+        # soundness holds for every plane, so vary it
+        if restriction._coprime_on_plane(forms, random.Random(t)):
+            certified += 1
+            assert form_gcd(forms).degree == 0
+        common = random_form(nv, rng.choice([1, 2]), fld, rng)
+        planted = [f * common for f in forms]
+        assert not restriction._coprime_on_plane(planted, random.Random(t))
+    assert certified > 0
+
+
+def test_plane_fallback_keeps_reports(monkeypatch, capsys):
+    def reports():
+        out = []
+        for seed in range(5):
+            argv = ["check-lemmas", "--trials", "1", "--seed", str(seed),
+                    "--format", "json"]
+            out.append((run(argv), capsys.readouterr().out))
+        return out
+
+    certified = reports()
+    monkeypatch.setattr(restriction, "_coprime_on_plane", lambda forms, rng: False)
+    assert reports() == certified
+
+
+def test_suites_reach_form_gcd_only_on_binary_forms(monkeypatch):
+    nvars = []
+
+    def recording_gcd(forms):
+        forms = list(forms)
+        nvars.append(forms[0].nvars)
+        return form_gcd(forms)
+
+    monkeypatch.setattr(restriction, "form_gcd", recording_gcd)
+    run_partials_gcd_suite(100, seed=5)
+    run_restricted_rank_suite(100, seed=3)
+    assert nvars and max(nvars) <= 2
 
 
 def test_suites_report_zero_failures_smoke():
