@@ -171,10 +171,18 @@ def catalecticant(F: Form, i: int) -> CatalecticantMatrix:
 
 
 def hilbert_function(F: Form) -> HilbertFunction:
-    """Exact Hilbert function of the apolar algebra of a nonzero form."""
+    """Exact Hilbert function of the apolar algebra of a nonzero form.
+
+    Only the catalecticants with i <= e/2 are ranked: the entry of Cat_i at
+    (a, b) is c_{a+b} (a+b)!/b!, that of Cat_{e-i} at (b, a) is
+    c_{a+b} (a+b)!/a!, so Cat_{e-i} is the transpose of Cat_i scaled by
+    factorials below e + 1, which are invertible in the characteristics
+    catalecticant accepts, and h_{e-i} = h_i."""
     if F.is_zero:
         raise ZeroFormError("Hilbert function of the zero form")
-    return HilbertFunction(catalecticant(F, i).rank() for i in range(F.degree + 1))
+    e = F.degree
+    low = [catalecticant(F, i).rank() for i in range(e // 2 + 1)]
+    return HilbertFunction(low[min(i, e - i)] for i in range(e + 1))
 
 
 def codimension(F: Form) -> int:

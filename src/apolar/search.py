@@ -9,14 +9,17 @@ entry (codimension <= 13 in socle degree 4, <= 16 in socle degree 5) gate
 the `exact` flag and the classification of h-vectors.
 
 Interval realization takes the deterministic structured forms first and
-fills the remaining values from a single chain of power sums, one added
-random power per value; a step that fails its fixed number of retries
-ends the chain, and every later value no structured form covers is
-reported as a gap.
+fills the remaining values from one fixed chain of sums of powers: the
+power sum, then one binary power (y_i + y_j)^e per value, the pairs i < j
+in lexicographic order, so the chain ends exactly at C(r+1,2).  It draws
+no random numbers.  A step whose Hilbert function misses its value ends
+the chain, and every later value no structured form covers is reported
+as a gap.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -30,7 +33,7 @@ from .errors import (
 )
 from .fields import DEFAULT_FIELD, parse_field_spec, random_nonzero
 from .poly import Form, monomials_of_degree, parse_form, random_form
-from .restriction import random_linear_form, restrict_mod, trial_rng
+from .restriction import LinearForm, random_linear_form, restrict_mod, trial_rng
 
 log = logging.getLogger(__name__)
 
@@ -44,9 +47,6 @@ UNKNOWN = "unknown"
 F4_EXACT = {r: r for r in range(1, 13)}
 F4_EXACT[13] = 12
 F5_EXACT = {r: r for r in range(1, 17)}
-
-# random linear forms tried per step of realize_interval's power-sum chain
-_CHAIN_TRIES = 24
 
 
 def known_min_h2(e: int, r: int):
@@ -338,12 +338,17 @@ def realize_interval(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> dict[i
     [known minimum, C(r+1,2)].
 
     Values hit by a structured form take that form.  The rest come from one
-    chain of power sums: starting at the power sum (h_2 = r), each step adds
-    the e-th power of a random linear form, since a sum of a general powers
-    has h_2 = min(a, C(r+1,2)).  The first sum at step a whose degree-2
-    entry is a is kept and extended; when every retry of a step fails the
-    chain ends.  Raises RealizationGapError listing every value left
-    without a certificate."""
+    fixed chain: starting at the power sum (h_2 = r), step k adds
+    (y_i + y_j)^e for the k-th pair i < j in lexicographic order, so after
+    C(r,2) steps the chain reaches C(r+1,2).  The sum of r + k powers has
+    h_2 = r + k (and h_3 = r + k for e = 5): h_i is the dimension of the
+    span of the (e-i)-th powers of the r + k linear forms, and their squares
+    and, for e = 5, their cubes are linearly independent once the
+    characteristic exceeds e, each pair bringing its own y_i y_j (or
+    y_i^2 y_j).  Every step is still re-verified by exact rank, and a step
+    that misses its value ends the chain.  Nothing is drawn at random;
+    `seed` is accepted for a uniform call signature and ignored.  Raises
+    RealizationGapError listing every value left without a certificate."""
     if e not in (4, 5):
         raise ValueError(f"unsupported socle degree {e}")
     known = known_min_h2(e, r)
@@ -354,15 +359,13 @@ def realize_interval(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> dict[i
     for F in _structured_forms(e, r, fld):
         certs.setdefault(_candidate_h2(F, e, r), F)
     chain = power_sum_form(r, e, fld)
-    for a in range(r + 1, cap + 1):
-        for t in range(_CHAIN_TRIES):
-            S = chain + random_form(r, 1, fld, trial_rng(seed, 1009 * a + t)) ** e
-            if _candidate_h2(S, e, r) == a:
-                chain = S
-                certs.setdefault(a, S)
-                break
-        else:
+    pairs = itertools.combinations(range(r), 2)
+    for a, (i, j) in enumerate(pairs, start=r + 1):
+        L = LinearForm([int(t in (i, j)) for t in range(r)], fld)
+        chain = chain + L.as_form() ** e
+        if _candidate_h2(chain, e, r) != a:
             break
+        certs.setdefault(a, chain)
     certs = {a: certs[a] for a in range(known, cap + 1) if a in certs}
     gaps = [a for a in range(known, cap + 1) if a not in certs]
     if gaps:

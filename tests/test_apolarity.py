@@ -1,5 +1,6 @@
 import pytest
 
+import apolar.apolarity
 import span_oracle
 from apolar import (
     QQ,
@@ -131,6 +132,36 @@ def test_matches_span_oracle_beyond_int64_primes():
                         terms=rng.randrange(2, 9))
         got = tuple(hilbert_function(F))
         assert got == span_oracle.span_hilbert(F.coeffs, F.nvars, F.degree, p)
+
+
+@pytest.mark.parametrize("p", [None, 7, DEFAULT_PRIME, 2**61 - 1],
+                         ids=["q", "p:7", "p:2^31-1", "p:2^61-1"])
+def test_half_rank_hilbert_function_matches_span_oracle(p):
+    # the oracle computes every h_i itself, so this checks h_{e-i} = h_i too
+    fld = QQ if p is None else GF(p)
+    for t in range(16):
+        rng = trial_rng(12, t)
+        degree = 2 + t % 4
+        F = random_form(rng.randrange(2, 5), degree, fld, rng,
+                        terms=rng.randrange(1, 9))
+        got = tuple(hilbert_function(F))
+        assert got == span_oracle.span_hilbert(F.coeffs, F.nvars, F.degree, p)
+
+
+def test_hilbert_function_ranks_only_the_lower_half(monkeypatch):
+    built = []
+    real = apolar.apolarity.catalecticant
+
+    def counting(F, i):
+        built.append(i)
+        return real(F, i)
+
+    monkeypatch.setattr(apolar.apolarity, "catalecticant", counting)
+    for e in range(2, 7):
+        built.clear()
+        hf = hilbert_function(power_sum_form(3, e, QQ))
+        assert sorted(built) == list(range(e // 2 + 1))
+        assert len(hf) == e + 1
 
 
 def test_rational_and_modp_agree_on_integer_forms():

@@ -122,6 +122,20 @@ def test_check_lemmas_passes(capsys):
     assert "codim-drop: 5 trials, 0 failures" in out
 
 
+@pytest.mark.parametrize("seed,trials", [(21, 1), (39, 1), (1, 6)])
+def test_check_lemmas_small_field_keeps_multiplicities_below_char(
+    capsys, seed, trials
+):
+    # multiplicities of 7 or more once made seed 21 report a false witness
+    # and seeds 39 and 1 exit 2 with "gcd of all-zero forms"
+    argv = ["check-lemmas", "--field", "p:7", "--trials", str(trials),
+            "--seed", str(seed)]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert "partials-gcd: %d trials, 0 failures" % trials in out
+    assert "ok: true" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -164,6 +178,15 @@ def test_realize_reports_interval(tmp_path, capsys):
     assert "realized: 4 of 4" in out
     assert "gaps: none" in out
     assert load_table(cache)[0].r == 3
+
+
+def test_realize_draws_nothing_and_accepts_a_negative_seed(tmp_path, capsys):
+    argv = ["realize", "--e", "4", "--r", "4", "--format", "json",
+            "--cache", str(tmp_path / "bounds.json"), "--seed"]
+    code, out, err = _run(capsys, argv + ["-1"])
+    assert code == 0 and err == ""
+    _, out0, _ = _run(capsys, argv + ["0"])
+    assert json.loads(out)["realized"] == json.loads(out0)["realized"]
 
 
 def test_gic_pretty_ends_nondecreasing(tmp_path, capsys):

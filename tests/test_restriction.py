@@ -243,6 +243,16 @@ def test_check_partials_gcd_explicit_cases():
         check_partials_gcd([(Form.constant(3, fld, fld.one), 2)])
 
 
+def test_check_partials_gcd_refuses_multiplicity_divisible_by_char():
+    # mod 7 the partials of L^7 vanish, so L^6 is not their gcd
+    fld = GF(7)
+    L = parse_form("y0 + 3*y1 + 2*y2", 3, fld)
+    M = parse_form("y0 + 4*y1 + 5*y2", 3, fld)
+    with pytest.raises(ValueError, match="characteristic 7"):
+        check_partials_gcd([(L, 7), (M, 1)])
+    assert check_partials_gcd([(L, 6), (M, 1)])
+
+
 @pytest.mark.parametrize(
     "fld", [QQ, GF(7), DEFAULT_FIELD, GF(2**61 - 1)], ids=lambda f: f.spec
 )

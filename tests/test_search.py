@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import apolar
@@ -191,28 +193,48 @@ def test_realize_interval_ranks_each_form_once(monkeypatch):
 
 
 def test_realize_interval_builds_one_chain_of_powers(monkeypatch):
-    # one added power per value above the power sum, with at most one retry
-    # each on average: 2 * (C(9, 2) - 8) powers for r = 8
-    calls = []
+    # one binary power per value above the power sum, the pairs i < j in
+    # lexicographic order: C(8, 2) = C(9, 2) - 8 of them for r = 8
+    powers = []
     pow_ = Form.__pow__
 
     def counting(self, k):
-        calls.append(k)
+        powers.append((str(self), k))
         return pow_(self, k)
 
     monkeypatch.setattr(Form, "__pow__", counting)
     certs = realize_interval(4, 8, seed=0)
     assert sorted(certs) == list(range(8, max_h2(8) + 1))
-    assert len(calls) <= 2 * (max_h2(8) - 8)
+    pairs = itertools.combinations(range(8), 2)
+    assert powers == [(f"y{i} + y{j}", 4) for i, j in pairs]
 
 
-def test_realize_interval_small_field_matches_oracle():
-    fld = GF(7)
-    certs = realize_interval(5, 4, seed=0, fld=fld)
-    assert sorted(certs) == list(range(4, max_h2(4) + 1))
+def _refuse(*args, **kwargs):
+    raise AssertionError("realize_interval drew a random number")
+
+
+def test_realize_interval_small_field_matches_oracle(monkeypatch):
+    # the fixed chain draws nothing and needs only char > e, so the same
+    # path covers the small fields and the rationals
+    monkeypatch.setattr(apolar.search, "trial_rng", _refuse)
+    monkeypatch.setattr(apolar.search, "random_form", _refuse)
+    for p in (7, 11, None):
+        fld = QQ if p is None else GF(p)
+        for e, rmax in ((4, 6), (5, 5)):
+            for r in range(1, rmax + 1):
+                lo, hi = known_min_h2(e, r), max_h2(r)
+                certs = realize_interval(e, r, seed=0, fld=fld)
+                assert sorted(certs) == list(range(lo, hi + 1))
+                for a, F in certs.items():
+                    got = span_oracle.span_hilbert(F.coeffs, F.nvars, F.degree, p)
+                    assert got == apolar.search.expected_hf(e, r, a)
+
+
+def test_realize_interval_socle_five_codimension_ten():
+    certs = realize_interval(5, 10)
+    assert sorted(certs) == list(range(10, max_h2(10) + 1))
     for a, F in certs.items():
-        got = span_oracle.span_hilbert(F.coeffs, F.nvars, F.degree, 7)
-        assert got == (1, 4, a, a, 4, 1)
+        assert verify_certificate(F, 5, 10, a)
 
 
 def test_realize_interval_socle_five():
