@@ -75,9 +75,6 @@ class CatalecticantMatrix:
     def ncols(self) -> int:
         return len(self.col_monomials)
 
-    def entry(self, i: int, j: int):
-        return self.entries.get((i, j), self.field.zero)
-
     def dense(self):
         zero = self.field.zero
         out = [[zero] * self.ncols for _ in range(self.nrows)]

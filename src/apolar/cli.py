@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search for the least degree-2 entry at fixed codimension")
     p.add_argument("--e", type=int, required=True, choices=(4, 5))
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--budget", type=int, default=50)
+    p.add_argument("--budget", type=int, help="has no effect; accepted for compatibility")
 
     p = sub.add_parser("realize", parents=[common],
                        help="certificates for every degree-2 value in the full interval")
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--rmin", type=int, required=True)
     p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--budget", type=int, default=50)
+    p.add_argument("--budget", type=int, help="has no effect; accepted for compatibility")
     return parser
 
 
@@ -147,7 +147,7 @@ def _field_note(fld) -> str:
 
 
 def _cmd_search_f(args, fld):
-    entry = search_min_h2(args.e, args.r, budget=args.budget, seed=args.seed, fld=fld)
+    entry = search_min_h2(args.e, args.r, seed=args.seed, fld=fld)
     merge_store(_cache_path(args), [entry])
     body = entry.to_dict(with_timestamp=False)
     body["asymptotic_reference"] = asymptotic_reference(args.e, args.r)
@@ -182,11 +182,16 @@ def _cmd_realize(args, fld):
 
 
 def _cmd_gic(args, fld):
+    # refuse before the search below stores anything
+    if args.seed < 0:
+        raise ValueError(
+            f"gic draws its descent hyperplanes from --seed >= 0, got {args.seed}"
+        )
     path = _cache_path(args)
     table = load_table(path)
     have = {en.r for en in table if en.e == args.e}
     fresh = [
-        search_min_h2(args.e, r, budget=args.budget, seed=args.seed, fld=fld)
+        search_min_h2(args.e, r, seed=args.seed, fld=fld)
         for r in range(args.rmin, args.rmax + 1)
         if r not in have
     ]
@@ -289,10 +294,6 @@ def _render_pretty(payload: dict) -> str:
                 f"descent r={d['r']}: {d['restricted_hf']} ok={_yes(d['ok'])}"
             )
         lines.append(f"nondecreasing: {_yes(payload['nondecreasing'])}")
-    else:
-        pairs: list = []
-        _flatten("", payload, pairs)
-        lines.extend(f"{k}: {v}" for k, v in pairs)
     return "\n".join(lines) + "\n"
 
 

@@ -8,13 +8,16 @@ the field that produced them.  Known exact values of the least degree-2
 entry (codimension <= 13 in socle degree 4, <= 16 in socle degree 5) gate
 the `exact` flag and the classification of h-vectors.
 
-Interval realization takes the deterministic structured forms first and
-fills the remaining values from one fixed chain of sums of powers: the
-power sum, then one binary power (y_i + y_j)^e per value, the pairs i < j
-in lexicographic order, so the chain ends exactly at C(r+1,2).  It draws
-no random numbers.  A step whose Hilbert function misses its value ends
-the chain, and every later value no structured form covers is reported
-as a gap.
+Bound search and interval realization share one candidate portfolio, the
+deterministic structured forms: the power sum and the padded or truncated
+bipartite forms.  The bound search takes the least of them.  Interval
+realization takes them first and fills the remaining values from one fixed
+chain of sums of powers: the power sum, then one binary power (y_i + y_j)^e
+per value, the pairs i < j in lexicographic order, so the chain ends
+exactly at C(r+1,2).  A step whose Hilbert function misses its value ends
+the chain, and every later value no structured form covers is reported as
+a gap.  Neither draws random numbers; only the descent check of
+`gic_verify` draws hyperplanes.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .errors import (
     RealizationGapError,
     ZeroFormError,
 )
-from .fields import DEFAULT_FIELD, parse_field_spec, random_nonzero
-from .poly import Form, monomials_of_degree, parse_form, random_form
+from .fields import DEFAULT_FIELD, parse_field_spec
+from .poly import Form, monomials_of_degree, parse_form
 from .restriction import LinearForm, random_linear_form, restrict_mod, trial_rng
 
 log = logging.getLogger(__name__)
@@ -105,18 +108,13 @@ def bipartite_monomial_form(m: int, e: int, fld=DEFAULT_FIELD, keep=None) -> For
         if not 1 <= keep <= len(monos):
             raise ValueError(f"keep = {keep} outside 1..{len(monos)}")
         monos = monos[:keep]
-    return _bipartite_from_monomials(m, monos, fld)
-
-
-def _bipartite_from_monomials(m, monos, fld) -> Form:
     s = len(monos)
-    nv = m + s
     terms = []
     for i, mono in enumerate(monos):
         exps = list(mono) + [0] * s
         exps[m + i] = 1
         terms.append((tuple(exps), 1))
-    return Form(nv, fld, terms)
+    return Form(m + s, fld, terms)
 
 
 def padded_form(G: Form, extra: int) -> Form:
@@ -142,10 +140,9 @@ def padded_form(G: Form, extra: int) -> Form:
 
 
 def verify_certificate(F: Form, e: int, r: int, a: int) -> bool:
-    """Recompute the Hilbert function and compare with the target shape."""
-    if F.is_zero or F.degree != e:
-        return False
-    return tuple(hilbert_function(F)) == expected_hf(e, r, a)
+    """Recompute the Hilbert function and check that F has the target
+    shape with degree-2 entry a (for e = 3 that entry is h_2 = r)."""
+    return _candidate_h2(F, e, r) == a
 
 
 @dataclass
@@ -242,69 +239,36 @@ def _candidate_h2(F: Form, e: int, r: int):
     if F.is_zero or F.degree != e:
         return None
     hf = hilbert_function(F)
-    a = hf[2] if len(hf) > 2 else None
-    if a is None:
+    if len(hf) < 3:
         return None
+    a = hf[2]
     return a if tuple(hf) == expected_hf(e, r, a) else None
 
 
-# the random perturbations draw trial_rng indices _PERTURB_BASE + t, which
-# must stay below 2^20
-_PERTURB_BASE = 100000
-_MAX_BUDGET = (1 << 20) - _PERTURB_BASE
-
-
-def search_min_h2(
-    e: int, r: int, budget: int = 50, seed: int = 0, fld=DEFAULT_FIELD
-) -> FBoundEntry:
-    """Smallest verified degree-2 entry among a portfolio of candidates:
-    the power sum, padded and truncated bipartite forms, and random sparse
-    perturbations within the trial budget.  Ties prefer sparser
-    certificates."""
+def search_min_h2(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> FBoundEntry:
+    """Smallest verified degree-2 entry among the structured forms of
+    `_structured_forms`: the power sum and the padded or truncated
+    bipartite forms.  Ties prefer fewer terms, then the form seen first.
+    Nothing is drawn at random; `seed` is only recorded in the entry."""
     if e not in (4, 5):
         raise ValueError(f"unsupported socle degree {e}")
     if r < 1:
         raise ValueError(f"codimension {r} < 1")
-    if not 1 <= budget <= _MAX_BUDGET:
-        raise ValueError(f"budget must be in [1, {_MAX_BUDGET}], got {budget}")
     known = known_min_h2(e, r)
-    best = None  # (bound, sparsity, Form)
-
-    def consider(F: Form):
-        nonlocal best
+    best = None  # (bound, number of terms, Form)
+    for F in _structured_forms(e, r, fld):
         a = _candidate_h2(F, e, r)
         if a is None:
-            return
+            continue
         if known is not None and a < known:
             log.warning(
                 "dropping a mod-p certificate below the exact minimum "
                 "(e=%d r=%d observed %d < %d)",
                 e, r, a, known,
             )
-            return
-        key = (a, len(F.coeffs))
-        if best is None or key < (best[0], best[1]):
+            continue
+        if best is None or (a, len(F.coeffs)) < best[:2]:
             best = (a, len(F.coeffs), F)
-
-    for F in _structured_forms(e, r, fld):
-        consider(F)
-    # random keep-subsets of the bipartite monomials; key ties occur only
-    # within one m, where the truncation above is still seen first
-    for m in range(2, min(r - 1, 10) + 1):
-        monos = monomials_of_degree(m, e - 1)
-        keep = r - m
-        if keep < len(monos):
-            for t in range(min(3, budget)):
-                rng = trial_rng(seed, 7000 * m + t)
-                subset = sorted(rng.sample(monos, keep), reverse=True)
-                consider(_bipartite_from_monomials(m, subset, fld))
-    total = len(monomials_of_degree(r, e))
-    for t in range(budget):
-        rng = trial_rng(seed, _PERTURB_BASE + t)
-        extra = rng.randrange(1, min(total, 6 * r) + 1)
-        F = random_form(r, e, fld, rng, terms=extra)
-        F = F + power_sum_form(r, e, fld).scale(random_nonzero(fld, rng))
-        consider(F)
     bound, _, F = best
     return FBoundEntry.from_form(F, e, r, bound, seed)
 

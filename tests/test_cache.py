@@ -19,8 +19,8 @@ from apolar import (
 )
 
 
-def _entry(e=4, r=5, seed=0, budget=5):
-    return search_min_h2(e, r, budget=budget, seed=seed)
+def _entry(e=4, r=5, seed=0):
+    return search_min_h2(e, r, seed=seed)
 
 
 def test_round_trip_identity(tmp_path):
@@ -83,6 +83,18 @@ def test_corrupt_certificate_dropped_with_warning(tmp_path, caplog):
     (tmp_path / "cache.json").write_text(json.dumps(data))
     with caplog.at_level("WARNING"):
         assert load_table(path) == []
+    assert any("re-verification" in rec.message for rec in caplog.records)
+
+
+def test_socle_three_entry_below_codimension_dropped(tmp_path, caplog):
+    path = tmp_path / "cache.json"
+    F = power_sum_form(4, 3)
+    cubic = FBoundEntry.from_form(F, 3, 4, 4, seed=0)
+    assert cubic.verify()
+    low = dict(cubic.to_dict(), bound=2)
+    path.write_text(json.dumps([low]))
+    with caplog.at_level("WARNING"):
+        assert load_table(str(path)) == []
     assert any("re-verification" in rec.message for rec in caplog.records)
 
 

@@ -142,9 +142,8 @@ def test_check_lemmas_small_field_keeps_multiplicities_below_char(
         ["check-lemmas", "--trials", "-5"],
         ["check-lemmas", "--trials", "0"],
         ["check-lemmas", "--trials", "1048577"],  # 2^20 + 1
-        ["search-f", "--e", "4", "--r", "5", "--budget", "948577"],  # 2^20 - 100000 + 1
     ],
-    ids=["trials-negative", "trials-zero", "trials-above-2^20", "budget-above-948576"],
+    ids=["trials-negative", "trials-zero", "trials-above-2^20"],
 )
 def test_out_of_range_trial_counts_exit_2(capsys, tmp_path, argv):
     # refused before any trial runs, never answered with exit 0
@@ -166,6 +165,24 @@ def test_search_f_writes_cache(tmp_path, capsys):
     assert len(table) == 1 and table[0].bound == 12
     # reports never include cache timestamps
     assert "timestamp" not in out
+
+
+def test_search_f_ignores_budget_and_accepts_a_negative_seed(tmp_path, capsys):
+    argv = ["search-f", "--e", "4", "--r", "13", "--cache", str(tmp_path / "c.json")]
+    _, low, _ = _run(capsys, argv + ["--budget", "1"])
+    _, high, _ = _run(capsys, argv + ["--budget", "50"])
+    assert low == high and "bound=12 exact=true" in low
+    code, _, err = _run(capsys, argv + ["--seed", "-1"])
+    assert code == 0 and err == ""
+
+
+def test_gic_negative_seed_exits_2_before_storing(tmp_path, capsys):
+    cache = tmp_path / "c.json"
+    argv = ["gic", "--e", "4", "--rmin", "3", "--rmax", "4", "--seed", "-1",
+            "--cache", str(cache)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == "" and "--seed >= 0" in err
+    assert not cache.exists()
 
 
 def test_realize_reports_interval(tmp_path, capsys):

@@ -96,10 +96,14 @@ def test_verify_certificate():
     assert verify_certificate(F, 4, 4, 4)
     assert not verify_certificate(F, 4, 4, 5)
     assert not verify_certificate(F, 5, 4, 4)
+    # h_2 = r in socle degree 3, so only a == r verifies
+    F3 = power_sum_form(4, 3)
+    assert verify_certificate(F3, 3, 4, 4)
+    assert not verify_certificate(F3, 3, 4, 2)
 
 
 def test_fbound_entry_round_trip_and_verify():
-    en = search_min_h2(4, 13, budget=5, seed=0)
+    en = search_min_h2(4, 13, seed=0)
     assert en.bound == 12 and en.exact
     assert en.verify()
     d = en.to_dict()
@@ -114,25 +118,25 @@ def test_fbound_entry_round_trip_and_verify():
 
 def test_f_upper_bound_exact_range():
     for r in (3, 7, 12):
-        en = search_min_h2(4, r, budget=5, seed=0)
+        en = search_min_h2(4, r, seed=0)
         assert en.bound == r and en.exact
         F = en.parse_certificate()
         assert codimension(F) == r
-    en = search_min_h2(5, 16, budget=5, seed=0)
+    en = search_min_h2(5, 16, seed=0)
     assert en.bound == 16 and en.exact
 
 
 def test_f_upper_bound_beyond_exact_range():
-    en = search_min_h2(4, 14, budget=20, seed=0)
+    en = search_min_h2(4, 14, seed=0)
     assert en.bound <= 13 and not en.exact
     assert en.verify()
-    en5 = search_min_h2(5, 17, budget=20, seed=0)
+    en5 = search_min_h2(5, 17, seed=0)
     assert en5.bound <= 16 and not en5.exact
 
 
 def test_f_upper_bound_is_deterministic():
-    a = search_min_h2(4, 9, budget=10, seed=42)
-    b = search_min_h2(4, 9, budget=10, seed=42)
+    a = search_min_h2(4, 9, seed=42)
+    b = search_min_h2(4, 9, seed=42)
     assert a.to_dict(with_timestamp=False) == b.to_dict(with_timestamp=False)
     with pytest.raises(ValueError):
         search_min_h2(3, 5)
@@ -161,7 +165,7 @@ def test_classification_exact_range():
 
 
 def test_classification_beyond_range_uses_table():
-    en = search_min_h2(4, 14, budget=20, seed=0)
+    en = search_min_h2(4, 14, seed=0)
     assert classify_h_vector(4, 14, en.bound, [en]) == "gorenstein"
     assert classify_h_vector(4, 14, en.bound - 1, [en]) == "unknown"
     assert classify_h_vector(4, 14, 10, []) == "unknown"
@@ -210,14 +214,29 @@ def test_realize_interval_builds_one_chain_of_powers(monkeypatch):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("realize_interval drew a random number")
+    raise AssertionError("drew a random number")
+
+
+def _forbid_random_draws(monkeypatch):
+    # search.py does not import random_form; raising=False keeps the guard
+    # should it ever do so
+    monkeypatch.setattr(apolar.search, "trial_rng", _refuse)
+    monkeypatch.setattr(apolar.search, "random_form", _refuse, raising=False)
+
+
+def test_search_min_h2_draws_nothing(monkeypatch):
+    _forbid_random_draws(monkeypatch)
+    for e, r in ((4, 5), (4, 13), (5, 7), (5, 16)):
+        en = search_min_h2(e, r)
+        assert en.bound == known_min_h2(e, r) and en.exact
+    en = search_min_h2(4, 14)
+    assert en.bound <= 13 and en.verify()
 
 
 def test_realize_interval_small_field_matches_oracle(monkeypatch):
     # the fixed chain draws nothing and needs only char > e, so the same
     # path covers the small fields and the rationals
-    monkeypatch.setattr(apolar.search, "trial_rng", _refuse)
-    monkeypatch.setattr(apolar.search, "random_form", _refuse)
+    _forbid_random_draws(monkeypatch)
     for p in (7, 11, None):
         fld = QQ if p is None else GF(p)
         for e, rmax in ((4, 6), (5, 5)):
@@ -251,7 +270,7 @@ def test_realization_gap_error_shape():
 
 
 def test_gic_verify_known_ranges():
-    table = [search_min_h2(4, r, budget=10, seed=0) for r in range(3, 14)]
+    table = [search_min_h2(4, r, seed=0) for r in range(3, 14)]
     rep = gic_verify(4, 3, 13, table, seed=0)
     assert rep.nondecreasing and rep.ok
     for row in rep.rows:
@@ -261,7 +280,7 @@ def test_gic_verify_known_ranges():
 
 
 def test_gic_verify_incomplete_table():
-    table = [search_min_h2(4, r, budget=5, seed=0) for r in (3, 5)]
+    table = [search_min_h2(4, r, seed=0) for r in (3, 5)]
     with pytest.raises(IncompleteTableError):
         gic_verify(4, 3, 5, table)
     with pytest.raises(ValueError):
@@ -269,7 +288,7 @@ def test_gic_verify_incomplete_table():
 
 
 def test_gic_verify_flags_bound_inversion():
-    table = [search_min_h2(4, r, budget=5, seed=0) for r in (11, 12)]
+    table = [search_min_h2(4, r, seed=0) for r in (11, 12)]
     # forge an entry claiming a bound below the exact value at r = 11
     forged = FBoundEntry(
         e=4, r=13, bound=9, exact=False,
@@ -284,7 +303,7 @@ def test_gic_verify_flags_bound_inversion():
 
 
 def test_gic_report_serializes():
-    table = [search_min_h2(4, r, budget=5, seed=0) for r in (3, 4)]
+    table = [search_min_h2(4, r, seed=0) for r in (3, 4)]
     d = gic_verify(4, 3, 4, table, seed=0).to_dict()
     assert d["e"] == 4 and len(d["rows"]) == 2
     assert {"rows", "violations", "descent", "nondecreasing"} <= set(d)
