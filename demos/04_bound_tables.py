@@ -47,7 +47,7 @@ F = en.parse_certificate()
 print(f"\nsocle degree 5, r=17: bound<={en.bound}, HF {hilbert_function(F)}")
 
 # Every middle value in [f(r), C(r+1,2)] is realized by some certificate.
-certs = realize_interval(4, 5, seed=0)
+certs = realize_interval(4, 5)
 print(f"\nrealized interval at e=4, r=5: a in [{known_min_h2(4, 5)}, {max_h2(5)}]")
 for a in sorted(certs):
     print(f"  a={a:>2}: {hilbert_function(certs[a])}")

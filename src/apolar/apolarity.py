@@ -6,11 +6,20 @@ derivative d^a F.  The i-th catalecticant of a degree-e form records, for
 every degree-i operator monomial (row) and every degree-(e-i) monomial
 (column), the coefficient of the column monomial in the image.  Its exact
 rank is the i-th value of the Hilbert function of the apolar algebra.
+
+A term c*y^m of F lands in exactly the cells (op, m - op) with op <= m, so
+each term is split over its own support, never over all n variables.  The
+entry there is c * m!/(m - op)!: c is nonzero, and the factor divides e!,
+a unit once the characteristic is 0 or exceeds e, which catalecticant
+requires.  So every stored entry is nonzero and no zero test runs, and
+linalg.sparse_rank materializes only the rows and columns holding one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from functools import lru_cache
 
 from . import linalg
 from .errors import MixedRingsError, ZeroFormError
@@ -54,7 +63,6 @@ class CatalecticantMatrix:
         "row_monomials",
         "col_monomials",
         "entries",
-        "_rank",
     )
 
     def __init__(self, source_degree, form_degree, nvars, field, entries):
@@ -65,7 +73,6 @@ class CatalecticantMatrix:
         self.row_monomials = monomials_of_degree(nvars, source_degree)
         self.col_monomials = monomials_of_degree(nvars, form_degree - source_degree)
         self.entries = entries
-        self._rank = None
 
     @property
     def nrows(self) -> int:
@@ -83,11 +90,7 @@ class CatalecticantMatrix:
         return out
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = linalg.sparse_rank(
-                self.entries, self.nrows, self.ncols, self.field
-            )
-        return self._rank
+        return linalg.sparse_rank(self.entries, self.field)
 
     def __repr__(self):
         return (
@@ -96,23 +99,18 @@ class CatalecticantMatrix:
         )
 
 
-def _sub_monomials(mono, i):
-    """Exponent vectors a <= mono with total degree i."""
+@lru_cache(maxsize=None)
+def _splits(exps, i):
+    """Every split exps = op + col with |op| = i, as (op, factor) pairs
+    whose factor exps!/col! is what x^op brings down from y^exps."""
     out = []
-
-    def rec(pos, left, prefix):
-        if pos == len(mono):
-            if left == 0:
-                out.append(tuple(prefix))
-            return
-        lo = max(0, left - sum(mono[pos + 1 :]))
-        for k in range(min(mono[pos], left), lo - 1, -1):
-            prefix.append(k)
-            rec(pos + 1, left - k, prefix)
-            prefix.pop()
-
-    rec(0, i, [])
-    return out
+    for op in itertools.product(*(range(m + 1) for m in exps)):
+        if sum(op) == i:
+            factor = 1
+            for m, o in zip(exps, op):
+                factor *= math.perm(m, o)
+            out.append((op, factor))
+    return tuple(out)
 
 
 def apply_operator(op, F: Form) -> Form:
@@ -132,6 +130,7 @@ def apply_operator(op, F: Form) -> Form:
             for m, o in zip(mono, op):
                 factor *= math.perm(m, o)
             scaled = field.mul(c, field.from_int(factor))
+            # any characteristic is accepted here, so the factor may vanish
             if not field.is_zero(scaled):
                 out[tuple(m - o for m, o in zip(mono, op))] = scaled
     return Form._raw(F.nvars, field, out, F.degree - sum(op) if out else -1)
@@ -156,14 +155,16 @@ def catalecticant(F: Form, i: int) -> CatalecticantMatrix:
     col_index = monomial_index(n, F.degree - i)
     entries = {}
     for mono, c in F.coeffs.items():
-        for op in _sub_monomials(mono, i):
-            factor = 1
-            for m, o in zip(mono, op):
-                factor *= math.perm(m, o)
-            v = field.mul(c, field.from_int(factor))
-            if not field.is_zero(v):
-                col = tuple(m - o for m, o in zip(mono, op))
-                entries[(row_index[op], col_index[col])] = v
+        support = [k for k, m in enumerate(mono) if m]
+        for ops, factor in _splits(tuple(mono[k] for k in support), i):
+            op = [0] * n
+            col = list(mono)
+            for k, o in zip(support, ops):
+                op[k] = o
+                col[k] -= o
+            entries[(row_index[tuple(op)], col_index[tuple(col)])] = field.mul(
+                c, field.from_int(factor)
+            )
     return CatalecticantMatrix(i, F.degree, n, field, entries)
 
 

@@ -158,7 +158,7 @@ def _cmd_search_f(args, fld):
 def _cmd_realize(args, fld):
     gaps: list[int] = []
     try:
-        certs = realize_interval(args.e, args.r, seed=args.seed, fld=fld)
+        certs = realize_interval(args.e, args.r, fld=fld)
     except RealizationGapError as exc:
         certs = exc.certificates
         gaps = exc.gaps

@@ -99,9 +99,6 @@ class RationalField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow(self, a, k: int):
-        return Fraction(a) ** k
-
     def eq(self, a, b) -> bool:
         return a == b
 
@@ -190,9 +187,6 @@ class GF:
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
-
-    def pow(self, a, k: int):
-        return pow(a, k, self.p)
 
     def eq(self, a, b) -> bool:
         return (a - b) % self.p == 0

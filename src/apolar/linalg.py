@@ -1,20 +1,19 @@
 """Exact rank kernels.
 
-Over GF(p) the matrix is eliminated with vectorized row reduction, on
-int64 when p*p fits below 2^62 (a product of two residues plus one
-subtraction cannot overflow) and on Python integers in an object array
-otherwise.  Over the rationals rows are cleared of denominators and
-reduced with fraction-free Bareiss elimination, so every intermediate
-value is an exact integer minor.
-
-Rank is computed on whichever orientation has fewer rows; all-zero rows
-and columns are pruned before elimination.
+Each step has one job.  `sparse_rank` materializes only the rows and
+columns that hold an entry; `matrix_rank` drops zero rows, eliminates
+whichever orientation has fewer rows and picks the kernel by field; the
+kernels only eliminate.  Over GF(p) the scalars are residues in [0, p) and
+the elimination is vectorized row reduction, on int64 when p*p fits below
+2^62 (a product of two residues plus one subtraction cannot overflow) and
+on Python integers in an object array otherwise.  Over the rationals rows
+are cleared of denominators and reduced with fraction-free Bareiss
+elimination, so every intermediate value is an exact integer minor.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,43 +22,33 @@ from .fields import GF
 _INT64_SAFE = 2**62
 
 
-def sparse_rank(entries, nrows: int, ncols: int, field) -> int:
+def sparse_rank(entries, field) -> int:
     """Rank of a matrix given as {(row, col): scalar} over the field."""
-    if not entries:
-        return 0
-    rows_used = sorted({i for i, _ in entries})
-    cols_used = sorted({j for _, j in entries})
-    rmap = {i: k for k, i in enumerate(rows_used)}
-    cmap = {j: k for k, j in enumerate(cols_used)}
-    m, n = len(rows_used), len(cols_used)
-    if m <= n:
-        dense = [[0] * n for _ in range(m)]
-        for (i, j), v in entries.items():
-            dense[rmap[i]][cmap[j]] = v
-    else:
-        dense = [[0] * m for _ in range(n)]
-        for (i, j), v in entries.items():
-            dense[cmap[j]][rmap[i]] = v
+    rows, cols = {}, {}
+    for i, j in entries:
+        rows.setdefault(i, len(rows))
+        cols.setdefault(j, len(cols))
+    dense = [[0] * len(cols) for _ in rows]
+    for (i, j), v in entries.items():
+        dense[rows[i]][cols[j]] = v
     return matrix_rank(dense, field)
 
 
 def matrix_rank(rows, field) -> int:
     """Rank of a dense list-of-lists matrix over the field."""
-    if not rows or not rows[0]:
+    rows = [row for row in rows if any(row)]
+    if not rows:
         return 0
+    if len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]
     if isinstance(field, GF):
         return rank_mod_p(rows, field.p)
     return rank_rational(rows)
 
 
 def rank_mod_p(rows, p: int) -> int:
-    A = [[v % p for v in row] for row in rows]
-    A = [row for row in A if any(row)]
-    if not A:
-        return 0
-    if len(A) > len(A[0]):
-        A = [list(col) for col in zip(*A)]
-    A = np.array(A, dtype=np.int64 if p * p < _INT64_SAFE else object)
+    """Rank of a nonempty matrix of residues in [0, p)."""
+    A = np.array(rows, dtype=np.int64 if p * p < _INT64_SAFE else object)
     m, n = A.shape
     r = 0
     for c in range(n):
@@ -83,20 +72,12 @@ def rank_mod_p(rows, p: int) -> int:
 
 
 def rank_rational(rows) -> int:
-    cleared = []
+    """Rank of a nonempty matrix of rationals (Fraction or int) by Bareiss
+    elimination on the rows cleared of denominators."""
+    A = []
     for row in rows:
-        scale = math.lcm(*(Fraction(v).denominator for v in row)) if row else 1
-        int_row = [int(Fraction(v) * scale) for v in row]
-        if any(int_row):
-            cleared.append(int_row)
-    if not cleared:
-        return 0
-    if len(cleared) > len(cleared[0]):
-        cleared = [list(col) for col in zip(*cleared)]
-    return _rank_bareiss(cleared)
-
-
-def _rank_bareiss(A) -> int:
+        lcm = math.lcm(*(v.denominator for v in row))
+        A.append([v.numerator * (lcm // v.denominator) for v in row])
     m, n = len(A), len(A[0])
     r = 0
     prev = 1

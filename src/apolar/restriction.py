@@ -37,7 +37,7 @@ from .errors import (
     ZeroFormError,
 )
 from .fields import DEFAULT_FIELD, random_nonzero
-from .poly import Form, exact_div, form_gcd, monomials_of_degree, random_form
+from .poly import Form, exact_div, form_gcd, monomial_index, monomials_of_degree, random_form
 
 
 _INDEX_BITS = 20
@@ -113,13 +113,12 @@ class LinearForm:
         )
 
 
-def random_linear_form(n_vars: int, field=DEFAULT_FIELD, rng=None) -> LinearForm:
+def random_linear_form(n_vars: int, field, rng) -> LinearForm:
     """Uniform nonzero coefficient vector; pivot at the last nonzero index.
 
     Distinct seeds give distinct vectors with overwhelming probability."""
     if n_vars < 1:
         raise ValueError("need at least one variable")
-    rng = rng or random.Random(0)
     while True:
         coeffs = tuple(field.random(rng) for _ in range(n_vars))
         if any(not field.is_zero(c) for c in coeffs):
@@ -260,16 +259,13 @@ def _codim_drop_trial(F: Form, H: LinearForm, report: TrialReport):
         report.witnesses.append(Witness(str(F), F.nvars, str(H), observed))
 
 
-def _coefficient_matrix(forms, nvars, degree):
-    index = {m: j for j, m in enumerate(monomials_of_degree(nvars, degree))}
-    rows = []
-    fld = forms[0].field
-    for f in forms:
-        row = [fld.zero] * len(index)
-        for m, c in f.coeffs.items():
-            row[index[m]] = c
-        rows.append(row)
-    return rows
+def _span_rank(forms) -> int:
+    """Dimension of the span of nonzero forms of one ring and one degree."""
+    index = monomial_index(forms[0].nvars, forms[0].degree)
+    entries = {
+        (k, index[m]): c for k, f in enumerate(forms) for m, c in f.coeffs.items()
+    }
+    return linalg.sparse_rank(entries, forms[0].field)
 
 
 def restricted_rank(forms, H: LinearForm) -> int:
@@ -282,7 +278,6 @@ def restricted_rank(forms, H: LinearForm) -> int:
     if not forms:
         raise PreconditionError("empty form list")
     nvars = forms[0].nvars
-    fld = forms[0].field
     for f in forms[1:]:
         forms[0]._same_ring(f)
     if len(forms) != nvars:
@@ -297,7 +292,7 @@ def restricted_rank(forms, H: LinearForm) -> int:
     d = degrees.pop()
     if d < 2:
         raise PreconditionError(f"common degree {d} is not > 1")
-    if linalg.matrix_rank(_coefficient_matrix(forms, nvars, d), fld) != len(forms):
+    if _span_rank(forms) != len(forms):
         raise PreconditionError("forms are linearly dependent")
     if (
         not _coprime_on_plane(forms, random.Random(_PLANE_SEED))
@@ -308,7 +303,7 @@ def restricted_rank(forms, H: LinearForm) -> int:
     keep = [g for g in restricted if not g.is_zero]
     if not keep:
         return 0
-    return linalg.matrix_rank(_coefficient_matrix(keep, nvars - 1, d), fld)
+    return _span_rank(keep)
 
 
 def quadratic_is_split(q: Form) -> bool:

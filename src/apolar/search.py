@@ -297,7 +297,7 @@ def classify_h_vector(e: int, r: int, a: int, table=()) -> str:
     return UNKNOWN
 
 
-def realize_interval(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> dict[int, Form]:
+def realize_interval(e: int, r: int, fld=DEFAULT_FIELD) -> dict[int, Form]:
     """A verified certificate for every degree-2 entry in the full interval
     [known minimum, C(r+1,2)].
 
@@ -310,8 +310,7 @@ def realize_interval(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> dict[i
     and, for e = 5, their cubes are linearly independent once the
     characteristic exceeds e, each pair bringing its own y_i y_j (or
     y_i^2 y_j).  Every step is still re-verified by exact rank, and a step
-    that misses its value ends the chain.  Nothing is drawn at random;
-    `seed` is accepted for a uniform call signature and ignored.  Raises
+    that misses its value ends the chain.  Nothing is drawn at random.  Raises
     RealizationGapError listing every value left without a certificate."""
     if e not in (4, 5):
         raise ValueError(f"unsupported socle degree {e}")

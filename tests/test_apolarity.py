@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import apolar.apolarity
@@ -185,3 +187,21 @@ def test_hilbert_function_helpers():
     assert hf.is_symmetric
     assert not HilbertFunction((1, 3, 2, 1)).is_symmetric
     assert HilbertFunction.parse("(1,13,12,13,1)") == hf
+
+
+@pytest.mark.parametrize("p", [None, 7, 2**31 - 1, 2**61 - 1])
+def test_catalecticant_rows_are_operator_images(p):
+    # sparse forms in many variables: each term splits over its own support
+    fld = QQ if p is None else GF(p)
+    rng = random.Random(f"catalecticant/{p}")
+    for _ in range(25):
+        F = random_form(rng.randint(3, 12), rng.randint(2, 5), fld, rng,
+                        terms=rng.randint(1, 12))
+        for i in range(F.degree + 1):
+            C = catalecticant(F, i)
+            rows = {}
+            for (a, b), v in C.entries.items():
+                assert not fld.is_zero(v)
+                rows.setdefault(a, {})[C.col_monomials[b]] = v
+            for a, op in enumerate(C.row_monomials):
+                assert rows.get(a, {}) == apply_operator(op, F).coeffs

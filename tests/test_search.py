@@ -173,7 +173,7 @@ def test_classification_beyond_range_uses_table():
 
 
 def test_realize_interval_small():
-    certs = realize_interval(4, 3, seed=0)
+    certs = realize_interval(4, 3)
     assert sorted(certs) == list(range(3, max_h2(3) + 1))
     for a, F in certs.items():
         assert verify_certificate(F, 4, 3, a)
@@ -191,7 +191,7 @@ def test_realize_interval_ranks_each_form_once(monkeypatch):
         return hilbert_function(F)
 
     monkeypatch.setattr(apolar.search, "hilbert_function", counting)
-    certs = realize_interval(4, 8, seed=0)
+    certs = realize_interval(4, 8)
     assert sorted(certs) == list(range(8, max_h2(8) + 1))
     assert len(seen) == len(set(seen))
 
@@ -207,7 +207,7 @@ def test_realize_interval_builds_one_chain_of_powers(monkeypatch):
         return pow_(self, k)
 
     monkeypatch.setattr(Form, "__pow__", counting)
-    certs = realize_interval(4, 8, seed=0)
+    certs = realize_interval(4, 8)
     assert sorted(certs) == list(range(8, max_h2(8) + 1))
     pairs = itertools.combinations(range(8), 2)
     assert powers == [(f"y{i} + y{j}", 4) for i, j in pairs]
@@ -242,7 +242,7 @@ def test_realize_interval_small_field_matches_oracle(monkeypatch):
         for e, rmax in ((4, 6), (5, 5)):
             for r in range(1, rmax + 1):
                 lo, hi = known_min_h2(e, r), max_h2(r)
-                certs = realize_interval(e, r, seed=0, fld=fld)
+                certs = realize_interval(e, r, fld=fld)
                 assert sorted(certs) == list(range(lo, hi + 1))
                 for a, F in certs.items():
                     got = span_oracle.span_hilbert(F.coeffs, F.nvars, F.degree, p)
@@ -257,7 +257,7 @@ def test_realize_interval_socle_five_codimension_ten():
 
 
 def test_realize_interval_socle_five():
-    certs = realize_interval(5, 3, seed=0)
+    certs = realize_interval(5, 3)
     assert sorted(certs) == list(range(3, 7))
     for a, F in certs.items():
         assert tuple(hilbert_function(F)) == (1, 3, a, a, 3, 1)
