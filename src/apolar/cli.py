@@ -6,11 +6,16 @@ invocations against the same cache state produce byte-identical output
 (timestamps live only in the cache file).  Exit codes: 0 success, 1 a
 verification failed (lemma witness, realization gap, table violation),
 2 usage error.
+
+The argument parser is built once per import, on the first `run`, and
+reused by every later call: argparse does not change a parser while it
+parses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,6 +49,7 @@ from .search import (
 DEFAULT_CACHE = "apolar_cache.json"
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="p:2147483647",
@@ -100,11 +106,19 @@ def _cache_path(args) -> str:
 
 
 def _parse_scalar(token: str, fld):
+    """One --H coefficient; a ValueError names the flag and the token."""
     token = token.strip()
-    q = Fraction(token)
-    if q.denominator == 1:
-        return fld.coerce(q.numerator)
-    return fld.div(fld.coerce(q.numerator), fld.coerce(q.denominator))
+    try:
+        q = Fraction(token)
+        if q.denominator == 1:
+            return fld.coerce(q.numerator)
+        return fld.div(fld.coerce(q.numerator), fld.coerce(q.denominator))
+    except ZeroDivisionError:
+        raise ValueError(
+            f"--H: {token!r} has a zero denominator over {fld.spec}"
+        ) from None
+    except ValueError:
+        raise ValueError(f"--H: {token!r} is not a rational number") from None
 
 
 def _cmd_hf(args, fld):

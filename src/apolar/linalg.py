@@ -7,8 +7,14 @@ kernels only eliminate.  Over GF(p) the scalars are residues in [0, p) and
 the elimination is vectorized row reduction, on int64 when p*p fits below
 2^62 (a product of two residues plus one subtraction cannot overflow) and
 on Python integers in an object array otherwise.  Over the rationals rows
-are cleared of denominators and reduced with fraction-free Bareiss
-elimination, so every intermediate value is an exact integer minor.
+are cleared of denominators, and the integer matrix is first ranked mod the
+fixed prime 2^31 - 1 (on the int64 path).  That rank never exceeds the
+rank over QQ, since a minor that is nonzero mod p is a nonzero integer, and
+no rank exceeds min(m, n); so when the rank mod p reaches min(m, n) it is
+the rank over QQ (the one-sided modular method of von zur Gathen-Gerhard,
+Modern Computer Algebra).  Otherwise fraction-free Bareiss elimination
+decides, so every intermediate value is an exact integer minor.  A prime
+that divides a minor costs time, never correctness.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import numpy as np
 from .fields import GF
 
 _INT64_SAFE = 2**62
+# the prime of the full-rank certificate over QQ; p * p < _INT64_SAFE
+_CERT_PRIME = 2**31 - 1
 
 
 def sparse_rank(entries, field) -> int:
@@ -72,12 +80,25 @@ def rank_mod_p(rows, p: int) -> int:
 
 
 def rank_rational(rows) -> int:
-    """Rank of a nonempty matrix of rationals (Fraction or int) by Bareiss
-    elimination on the rows cleared of denominators."""
+    """Rank of a nonempty matrix of rationals (Fraction or int).
+
+    The rows are cleared of denominators.  If the integer matrix has rank
+    min(m, n) mod _CERT_PRIME, that is its rank over QQ: the rank mod p is
+    at most the rank over QQ, which is at most min(m, n).  Otherwise Bareiss
+    elimination computes the rank exactly."""
     A = []
     for row in rows:
         lcm = math.lcm(*(v.denominator for v in row))
         A.append([v.numerator * (lcm // v.denominator) for v in row])
+    full = min(len(A), len(A[0]))
+    if rank_mod_p([[v % _CERT_PRIME for v in row] for row in A], _CERT_PRIME) == full:
+        return full
+    return _bareiss_rank(A)
+
+
+def _bareiss_rank(A) -> int:
+    """Rank of a nonempty integer matrix by fraction-free Bareiss
+    elimination; A is overwritten."""
     m, n = len(A), len(A[0])
     r = 0
     prev = 1

@@ -369,7 +369,8 @@ def gic_verify(e: int, r_lo: int, r_hi: int, table, seed: int = 0) -> GicReport:
     bound at a larger codimension may undercut a certified exact value at a
     smaller one, and each certificate must lose exactly one codimension
     under a random hyperplane restriction without its degree-2 entry
-    growing."""
+    growing.  Each descent row records its hyperplane H in the
+    comma-separated form `restrict --H` accepts, so it replays."""
     if r_lo < 1 or r_lo > r_hi:
         raise ValueError(f"bad codimension range [{r_lo}, {r_hi}]")
     best: dict[int, FBoundEntry] = {}
@@ -426,11 +427,11 @@ def gic_verify(e: int, r_lo: int, r_hi: int, table, seed: int = 0) -> GicReport:
         H = random_linear_form(en.nvars, fld, rng)
         G = restrict_mod(F, H)
         if G.is_zero:
-            descent.append({"r": r, "restricted_hf": "(0)", "ok": False})
+            descent.append({"r": r, "H": str(H), "restricted_hf": "(0)", "ok": False})
             continue
         hf = hilbert_function(G)
         ok = hf[1] == r - 1 and (len(hf) < 3 or hf[2] <= en.bound)
-        descent.append({"r": r, "restricted_hf": str(hf), "ok": ok})
+        descent.append({"r": r, "H": str(H), "restricted_hf": str(hf), "ok": ok})
     return GicReport(
         e=e,
         r_lo=r_lo,

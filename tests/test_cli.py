@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from apolar import load_table
-from apolar.cli import run
+from apolar.cli import build_parser, run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(capsys, argv):
@@ -100,6 +106,40 @@ def test_restrict_hyperplane_length_mismatch(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_restrict_bad_hyperplane_coefficient_names_flag_and_token(capsys):
+    argv = ["restrict", "--form", "y0^2 + y1^2", "--vars", "2", "--H"]
+    code, out, err = _run(capsys, argv + ["1/0,1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --H: '1/0' has a zero denominator over p:2147483647\n"
+    code, out, err = _run(capsys, argv + ["a,1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --H: 'a' is not a rational number\n"
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):
+    # one process reusing the parser after a usage error and --help prints
+    # what a fresh process per call prints
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["hf", "--vars", "two", "--form", "y0^2"],
+        ["--help"],
+        ["hf", "--form", "y0^4 + y1^4", "--vars", "2"],
+        ["restrict", "--form", "y0^3 + y1^3 + y2^3", "--vars", "3", "--seed", "4"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in calls:
+        got = (run(argv), *capsys.readouterr())
+        fresh = subprocess.run(
+            [sys.executable, "-m", "apolar", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 def test_restrict_random_hyperplane_is_seeded(capsys):
     argv = ["restrict", "--form", "y0^3 + y1^3 + y2^3", "--vars", "3", "--seed", "5"]
     _, out1, _ = _run(capsys, argv)
@@ -134,6 +174,17 @@ def test_check_lemmas_small_field_keeps_multiplicities_below_char(
     assert code == 0 and err == ""
     assert "partials-gcd: %d trials, 0 failures" % trials in out
     assert "ok: true" in out
+
+
+@pytest.mark.parametrize("field,seed", [("p:11", 31), ("p:7", 32)])
+def test_check_lemmas_small_field_redraws_rank_dropping_hyperplanes(
+    capsys, field, seed
+):
+    # the first hyperplane drops the restricted rank; a later one keeps it
+    argv = ["check-lemmas", "--field", field, "--trials", "1", "--seed", str(seed)]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert "restricted-rank: 1 trials, 0 failures" in out
 
 
 @pytest.mark.parametrize(
@@ -226,6 +277,8 @@ def test_gic_reuses_cache_and_stays_byte_identical(tmp_path, capsys):
     _, out1, _ = _run(capsys, argv)
     _, out2, _ = _run(capsys, argv)
     assert out1 == out2
+    # every descent row names its hyperplane, so a failed row replays
+    assert all("," in d["H"] for d in json.loads(out1)["descent"])
 
 
 def test_env_var_sets_cache_path(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """The rank kernels against the independent span oracle, over QQ and over
 prime fields on both sides of the int64 limit (GF(2^61 - 1) runs on the
-object-array path)."""
+object-array path), and the full-rank certificate mod 2^31 - 1 that settles
+most ranks over QQ before Bareiss."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import span_oracle
-from apolar import GF, QQ
+from apolar import GF, QQ, linalg
 from apolar.linalg import matrix_rank, sparse_rank
 
 FIELDS = [(QQ, None), (GF(7), 7), (GF(2**31 - 1), 2**31 - 1), (GF(2**61 - 1), 2**61 - 1)]
@@ -93,3 +94,42 @@ def test_empty_matrices_have_rank_zero(fld, p):
     assert matrix_rank([], fld) == 0
     assert matrix_rank([[]], fld) == 0
     assert sparse_rank({}, fld) == 0
+
+
+def _count_bareiss(monkeypatch):
+    calls = []
+    bareiss = linalg._bareiss_rank
+
+    def counted(A):
+        calls.append(A)
+        return bareiss(A)
+
+    monkeypatch.setattr(linalg, "_bareiss_rank", counted)
+    return calls
+
+
+P = 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[P, 0], [0, 1]],
+        # cleared of denominators the first row is (P, P), zero mod P
+        [[Fraction(P, 3), Fraction(P, 3)], [1, 0]],
+    ],
+    ids=["entry-P", "row-P/3"],
+)
+def test_rank_below_full_mod_the_certificate_prime_falls_back(monkeypatch, rows):
+    calls = _count_bareiss(monkeypatch)
+    assert matrix_rank(rows, QQ) == 2
+    assert len(calls) == 1
+
+
+def test_full_rank_certificate_skips_bareiss(monkeypatch):
+    rng = random.Random("linalg/certificate")
+    rows = [[_scalar(QQ, rng) for _ in range(9)] for _ in range(6)]
+    assert _oracle_rank(rows, None) == 6
+    calls = _count_bareiss(monkeypatch)
+    assert matrix_rank(rows, QQ) == 6
+    assert calls == []

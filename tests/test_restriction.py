@@ -301,6 +301,20 @@ def test_suites_reach_form_gcd_only_on_binary_forms(monkeypatch):
     assert nvars and max(nvars) <= 2
 
 
+def test_restricted_rank_witness_needs_every_hyperplane_to_drop_rank(monkeypatch):
+    hyperplanes = []
+
+    def always_drops(forms, H):
+        hyperplanes.append(str(H))
+        return len(forms) - 1
+
+    monkeypatch.setattr(restriction, "restricted_rank", always_drops)
+    rep = run_restricted_rank_suite(1, seed=0)
+    # the first hyperplane, then eight redraws from the trial's stream
+    assert len(hyperplanes) == 9 and len(set(hyperplanes)) == 9
+    assert [w.hyperplane for w in rep.witnesses] == hyperplanes[:1]
+
+
 def test_suites_report_zero_failures_smoke():
     assert run_codim_drop_suite(8, seed=1).ok
     assert run_restricted_rank_suite(8, seed=1).ok

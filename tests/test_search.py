@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from apolar import (
     FBoundEntry,
     Form,
     IncompleteTableError,
+    LinearForm,
     RealizationGapError,
     ZeroFormError,
     asymptotic_reference,
@@ -23,8 +25,10 @@ from apolar import (
     known_min_h2,
     max_h2,
     padded_form,
+    parse_field_spec,
     power_sum_form,
     realize_interval,
+    restrict_mod,
     search_min_h2,
     verify_certificate,
 )
@@ -277,6 +281,16 @@ def test_gic_verify_known_ranges():
         assert row["upper"] == row["lower"]  # exact everywhere in range
     assert [d["r"] for d in rep.descent] == list(range(3, 14))
     assert all(d["ok"] for d in rep.descent)
+
+
+def test_gic_descent_rows_replay_from_their_hyperplane():
+    table = [search_min_h2(4, r, seed=0) for r in range(3, 9)]
+    row = gic_verify(4, 3, 8, table, seed=0).descent[-1]
+    en = next(en for en in table if en.r == row["r"])
+    fld = parse_field_spec(en.field_spec)
+    H = LinearForm([Fraction(c) for c in row["H"].split(",")], fld)
+    G = restrict_mod(en.parse_certificate(), H)
+    assert str(hilbert_function(G)) == row["restricted_hf"]
 
 
 def test_gic_verify_incomplete_table():
