@@ -7,23 +7,45 @@ every degree-i operator monomial (row) and every degree-(e-i) monomial
 (column), the coefficient of the column monomial in the image.  Its exact
 rank is the i-th value of the Hilbert function of the apolar algebra.
 
-A term c*y^m of F lands in exactly the cells (op, m - op) with op <= m, so
-each term is split over its own support, never over all n variables.  The
-entry there is c * m!/(m - op)!: c is nonzero, and the factor divides e!,
-a unit once the characteristic is 0 or exceeds e, which catalecticant
-requires.  So every stored entry is nonzero and no zero test runs, and
-linalg.sparse_rank materializes only the rows and columns holding one.
+A term c*y^m of F lands in exactly the cells (op, m - op) with op <= m, and
+`catalecticant` builds all of them in one vectorized pass over the terms,
+with no Python loop over entries.  Each term is written as the list of its
+variables with multiplicity, variable k as the reversed index n-1-k, so the
+list is ascending.  An operator op <= m is a choice of i positions in that
+list that takes the copies of a variable first to last, so each op is
+chosen once.  Its entry is c * m!/(m - op)!, the product over the chosen
+positions of the copies of that variable left from there on.  A row or
+column is keyed by the colex rank of its multiset of reversed indices,
+sum_j C(u_j + j - 1, j) over u_1 <= u_2 <= ..., which is below the number
+N of monomials of its degree; its position in the graded-lex listing is
+N - 1 minus the key.  Values are int64 while every product fits and Python
+integers in an object array otherwise.  Over QQ the coefficients are
+cleared of denominators once per form: that common scalar leaves the rank
+unchanged, and `entries` divides it back out.  These per-form arrays are
+kept for the latest form, so the catalecticants that hilbert_function
+builds in turn share them.
+
+c is nonzero and the factor divides e!, a unit once the characteristic is 0
+or exceeds e, which catalecticant requires.  So every entry is nonzero and
+no zero test runs.  Pruning happens in `CatalecticantMatrix.rank`: rows and
+columns holding no entry are never built, and a column holding a single
+entry makes its row independent of all the others, so each such row adds
+one to the rank and skips elimination.  The rest goes to
+`linalg.matrix_rank` as a list of lists with no more rows than columns.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from functools import lru_cache
+
+import numpy as np
 
 from . import linalg
 from .errors import MixedRingsError, ZeroFormError
-from .poly import Form, monomial_index, monomials_of_degree
+from .poly import Form, monomials_of_degree
 
 
 class HilbertFunction(tuple):
@@ -52,35 +74,168 @@ class HilbertFunction(tuple):
         return cls(int(part) for part in text[1:-1].split(","))
 
 
+def _int_dtype(bound: int):
+    """The dtype for integers of absolute value at most bound: int64 when
+    that fits, else object (Python integers)."""
+    return np.int64 if bound < 2**63 else object
+
+
+def _monomial_count(nvars: int, degree: int) -> int:
+    return math.comb(nvars + degree - 1, degree) if nvars else int(degree == 0)
+
+
+@lru_cache(maxsize=None)
+def _colex_table(nvars: int, degree: int):
+    """B[u, j] = C(u + j - 1, j) for u < nvars and 1 <= j <= degree, and
+    B[u, 0] = 0: a multiset u_1 <= ... <= u_d (d <= degree) of values below
+    nvars has colex rank sum_j B[u_j, j] < C(nvars + d - 1, d).  The dtype
+    holds a row key plus a column key."""
+    table = [
+        [0] + [math.comb(u + j - 1, j) for j in range(1, degree + 1)]
+        for u in range(nvars)
+    ]
+    dtype = _int_dtype(2 * _monomial_count(nvars, degree))
+    return np.array(table, dtype=dtype).reshape(nvars, degree + 1)
+
+
+def _compact(keys):
+    """Ids 0..k-1 for the k distinct keys, in key order, and k."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ids = np.empty(len(keys), np.intp)
+    ids[order] = np.add.accumulate(new, dtype=np.intp) - 1
+    return ids, int(np.count_nonzero(new))
+
+
+class _Terms:
+    """The terms of one form as flat arrays.  Term a is the ascending list of
+    its variables with multiplicity, variable k as u = n-1-k, at positions
+    a*e .. a*e + e - 1.  first[g]: position g holds the first copy of its
+    variable (False past the end); left[g]: the copies of that variable
+    from g on; digits[a, q] = u*(e+1), the row of u in the colex table.
+    coeffs are integers: residues, or over QQ the numerators over the
+    common denominator scale."""
+
+    __slots__ = ("form", "first", "left", "digits", "coeffs", "scale")
+
+    def __init__(self, F: Form):
+        n, e, t = F.nvars, F.degree, len(F.coeffs)
+        size = t * e
+        exps = np.fromiter(
+            itertools.chain.from_iterable(F.coeffs), np.min_scalar_type(e), t * n
+        )
+        flat = np.arange(t * n).repeat(exps.reshape(t, n)[:, ::-1].ravel())
+        first = np.empty(size + e, bool)
+        first[:1] = True
+        np.not_equal(flat[1:], flat[:-1], out=first[1:size])
+        first[size:] = False
+        self.form = F
+        self.first = first
+        self.left = flat.searchsorted(flat, "right") - np.arange(size)
+        self.digits = (flat % n * (e + 1)).reshape(t, e)
+        ints = list(F.coeffs.values())
+        if F.field.char:
+            self.scale, top = 1, F.field.char - 1
+        else:
+            self.scale = math.lcm(*(c.denominator for c in ints))
+            ints = [c.numerator * (self.scale // c.denominator) for c in ints]
+            top = max(map(abs, ints))
+        # an entry is a coefficient times a divisor of e!
+        self.coeffs = np.array(ints, dtype=_int_dtype(top * math.factorial(e)))
+
+
+_latest = None  # the _Terms of the latest form given to catalecticant
+
+
+def _terms(F: Form) -> _Terms:
+    """F's _Terms, shared by consecutive catalecticants of F.  The form is
+    matched by identity, which is sound because forms are never mutated."""
+    global _latest
+    if _latest is None or _latest.form is not F:
+        _latest = _Terms(F)
+    return _latest
+
+
+class _Entries(Mapping):
+    """{(row, col): nonzero field value}, in the positions of row_monomials
+    and col_monomials.  len() reads the arrays; the dict is built on the
+    first lookup or iteration."""
+
+    __slots__ = ("_field", "_shape", "_rows", "_cols", "_values", "_scale", "_dict")
+
+    def __init__(self, field, shape, rows, cols, values, scale):
+        self._field = field
+        self._shape = shape
+        self._rows = rows
+        self._cols = cols
+        self._values = values
+        self._scale = scale
+        self._dict = None
+
+    def __len__(self):
+        return len(self._values)
+
+    def _built(self) -> dict:
+        if self._dict is None:
+            last_row, last_col = self._shape[0] - 1, self._shape[1] - 1
+            div, scale = self._field.from_ratio, self._scale
+            self._dict = {
+                (last_row - r, last_col - c): div(v, scale)
+                for r, c, v in zip(
+                    self._rows.tolist(), self._cols.tolist(), self._values.tolist()
+                )
+            }
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def items(self):
+        return self._built().items()
+
+
 class CatalecticantMatrix:
-    """Sparse catalecticant with explicit row/column monomial indexing."""
+    """Sparse catalecticant: for every nonzero entry, the colex keys of its
+    row and column and its value times a common scale, as parallel arrays."""
 
     __slots__ = (
         "source_degree",
         "form_degree",
         "nvars",
         "field",
-        "row_monomials",
-        "col_monomials",
+        "nrows",
+        "ncols",
         "entries",
+        "_rows",
+        "_cols",
+        "_values",
     )
 
-    def __init__(self, source_degree, form_degree, nvars, field, entries):
+    def __init__(self, source_degree, form_degree, nvars, field, rows, cols, values, scale):
         self.source_degree = source_degree
         self.form_degree = form_degree
         self.nvars = nvars
         self.field = field
-        self.row_monomials = monomials_of_degree(nvars, source_degree)
-        self.col_monomials = monomials_of_degree(nvars, form_degree - source_degree)
-        self.entries = entries
+        self.nrows = _monomial_count(nvars, source_degree)
+        self.ncols = _monomial_count(nvars, form_degree - source_degree)
+        self._rows = rows
+        self._cols = cols
+        self._values = values
+        self.entries = _Entries(field, (self.nrows, self.ncols), rows, cols, values, scale)
 
     @property
-    def nrows(self) -> int:
-        return len(self.row_monomials)
+    def row_monomials(self):
+        return monomials_of_degree(self.nvars, self.source_degree)
 
     @property
-    def ncols(self) -> int:
-        return len(self.col_monomials)
+    def col_monomials(self):
+        return monomials_of_degree(self.nvars, self.form_degree - self.source_degree)
 
     def dense(self):
         zero = self.field.zero
@@ -90,27 +245,38 @@ class CatalecticantMatrix:
         return out
 
     def rank(self) -> int:
-        return linalg.sparse_rank(self.entries, self.field)
+        """Exact rank; prunes as the module docstring says, then ranks what
+        is left with linalg.matrix_rank."""
+        order = self._cols.argsort(kind="stable")
+        cols = self._cols[order]
+        m = len(cols)
+        # edge[k]: entry k, in column order, starts a column; edge[m] ends the last
+        edge = np.empty(m + 1, bool)
+        edge[0] = edge[m] = True
+        np.not_equal(cols[1:], cols[:-1], out=edge[1:m])
+        rows = self._rows[order]
+        row_id, nrows = _compact(rows)
+        # a row holding the only entry of some column is outside the span of
+        # the other rows, which all vanish there, so it adds one to the rank
+        independent = np.zeros(nrows, bool)
+        independent[row_id[edge[:m] & edge[1:]]] = True
+        keep = ~independent[row_id]
+        peeled = int(np.count_nonzero(independent))
+        if not keep.any():
+            return peeled
+        row_id, nrows = _compact(rows[keep])
+        col_id, ncols = _compact(cols[keep])
+        A = np.zeros((nrows, ncols), self._values.dtype)
+        A[row_id, col_id] = self._values[order][keep]
+        if A.shape[0] > A.shape[1]:
+            A = A.T
+        return peeled + linalg.matrix_rank(A.tolist(), self.field)
 
     def __repr__(self):
         return (
             f"<Catalecticant i={self.source_degree} of degree-{self.form_degree} "
             f"form: {self.nrows}x{self.ncols}, {len(self.entries)} nonzero>"
         )
-
-
-@lru_cache(maxsize=None)
-def _splits(exps, i):
-    """Every split exps = op + col with |op| = i, as (op, factor) pairs
-    whose factor exps!/col! is what x^op brings down from y^exps."""
-    out = []
-    for op in itertools.product(*(range(m + 1) for m in exps)):
-        if sum(op) == i:
-            factor = 1
-            for m, o in zip(exps, op):
-                factor *= math.perm(m, o)
-            out.append((op, factor))
-    return tuple(out)
 
 
 def apply_operator(op, F: Form) -> Form:
@@ -150,36 +316,64 @@ def catalecticant(F: Form, i: int) -> CatalecticantMatrix:
         raise ValueError(
             f"characteristic {field.char} does not exceed the degree {F.degree}"
         )
-    n = F.nvars
-    row_index = monomial_index(n, i)
-    col_index = monomial_index(n, F.degree - i)
-    entries = {}
-    for mono, c in F.coeffs.items():
-        support = [k for k, m in enumerate(mono) if m]
-        for ops, factor in _splits(tuple(mono[k] for k in support), i):
-            op = [0] * n
-            col = list(mono)
-            for k, o in zip(support, ops):
-                op[k] = o
-                col[k] -= o
-            entries[(row_index[tuple(op)], col_index[tuple(col)])] = field.mul(
-                c, field.from_int(factor)
-            )
-    return CatalecticantMatrix(i, F.degree, n, field, entries)
+    n, e, t = F.nvars, F.degree, len(F.coeffs)
+    terms = _terms(F)
+    first = terms.first
+    # choose the operator's positions one at a time, ascending: a position
+    # follows the previous one directly or starts a new variable, and
+    # leaves room for the positions still to choose
+    if i:
+        term, q = first[: t * e].reshape(t, e)[:, : e - i + 1].nonzero()
+        picks = [q]
+    else:
+        term, picks = np.arange(t), []
+    for j in range(1, i):
+        steps = np.arange(1, e)
+        cand = picks[-1][:, None] + steps
+        ok = (cand <= e - i + j) & (first[(term * e)[:, None] + cand] | (steps == 1))
+        s, d = ok.nonzero()
+        term = term[s]
+        picks = [q[s] for q in picks] + [cand[s, d]]
+    base = term * e
+    values = terms.coeffs[term]
+    for q in picks:
+        values = values * terms.left[base + q]
+    if field.char:
+        values %= field.char
+
+    # colex keys: a row sums B[u, j] over the chosen positions, the j-th
+    # one with j, and a column sums B[u, r] over the others, r the rank of
+    # the position among them; index holds u*(e+1) + j or r
+    at = np.arange(len(term))
+    slots = np.arange(e)
+    index = terms.digits[term]
+    index += slots + 1
+    for q in picks:
+        index -= slots >= q[:, None]  # r = q + 1 - (chosen positions <= q)
+    for j, q in enumerate(picks, 1):
+        index[at, q] += 2 * j - 1 - q  # the j-th chosen one: q + 1 - j -> j
+    part = _colex_table(n, e).ravel()[index]
+    del index
+    rows = np.zeros(len(term), part.dtype)
+    for q in picks:
+        rows += part[at, q]
+    cols = np.add.reduce(part, axis=1) - rows
+    return CatalecticantMatrix(i, e, n, field, rows, cols, values, terms.scale)
 
 
 def hilbert_function(F: Form) -> HilbertFunction:
     """Exact Hilbert function of the apolar algebra of a nonzero form.
 
-    Only the catalecticants with i <= e/2 are ranked: the entry of Cat_i at
-    (a, b) is c_{a+b} (a+b)!/b!, that of Cat_{e-i} at (b, a) is
-    c_{a+b} (a+b)!/a!, so Cat_{e-i} is the transpose of Cat_i scaled by
-    factorials below e + 1, which are invertible in the characteristics
-    catalecticant accepts, and h_{e-i} = h_i."""
+    h_0 = 1, since Cat_0 is the one row of F's coefficients, which is
+    nonzero.  Beyond it only the catalecticants with 1 <= i <= e/2 are
+    ranked: the entry of Cat_i at (a, b) is c_{a+b} (a+b)!/b!, that of
+    Cat_{e-i} at (b, a) is c_{a+b} (a+b)!/a!, so Cat_{e-i} is the transpose
+    of Cat_i scaled by factorials below e + 1, which are invertible in the
+    characteristics catalecticant accepts, and h_{e-i} = h_i."""
     if F.is_zero:
         raise ZeroFormError("Hilbert function of the zero form")
     e = F.degree
-    low = [catalecticant(F, i).rank() for i in range(e // 2 + 1)]
+    low = [1] + [catalecticant(F, i).rank() for i in range(1, e // 2 + 1)]
     return HilbertFunction(low[min(i, e - i)] for i in range(e + 1))
 
 

@@ -99,9 +99,6 @@ class RationalField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -187,9 +184,6 @@ class GF:
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
-
-    def eq(self, a, b) -> bool:
-        return (a - b) % self.p == 0
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

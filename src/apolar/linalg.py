@@ -1,12 +1,18 @@
 """Exact rank kernels.
 
-Each step has one job.  `sparse_rank` materializes only the rows and
-columns that hold an entry; `matrix_rank` drops zero rows, eliminates
-whichever orientation has fewer rows and picks the kernel by field; the
-kernels only eliminate.  Over GF(p) the scalars are residues in [0, p) and
-the elimination is vectorized row reduction, on int64 when p*p fits below
-2^62 (a product of two residues plus one subtraction cannot overflow) and
-on Python integers in an object array otherwise.  Over the rationals rows
+Each step has one job.  Catalecticants are pruned before they get here:
+`apolarity.CatalecticantMatrix.rank` keeps only the rows and columns that
+hold an entry, counts without elimination every row that holds the only
+entry of some column, and hands `matrix_rank` the rest as a list of lists
+of integers with no more rows than columns.  `sparse_rank` materializes
+only the rows and columns of its dict that hold an entry; `matrix_rank`
+drops zero rows, eliminates whichever orientation has fewer rows and picks
+the kernel by field; the kernels only eliminate.
+
+Over GF(p) the scalars are residues in [0, p) and the elimination is
+vectorized row reduction, on int64 when p*p fits below 2^62 (a product of
+two residues plus one subtraction cannot overflow) and on Python integers
+in an object array otherwise.  Over the rationals rows
 are cleared of denominators, and the integer matrix is first ranked mod the
 fixed prime 2^31 - 1 (on the int64 path).  That rank never exceeds the
 rank over QQ, since a minor that is nonzero mod p is a nonzero integer, and

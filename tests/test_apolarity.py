@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +19,7 @@ from apolar import (
     catalecticant,
     codimension,
     hilbert_function,
+    monomials_of_degree,
     parse_form,
     power_sum_form,
     random_form,
@@ -162,8 +166,9 @@ def test_hilbert_function_ranks_only_the_lower_half(monkeypatch):
     for e in range(2, 7):
         built.clear()
         hf = hilbert_function(power_sum_form(3, e, QQ))
-        assert sorted(built) == list(range(e // 2 + 1))
-        assert len(hf) == e + 1
+        # h_0 = 1 for every nonzero form, so Cat_0 is never built
+        assert sorted(built) == list(range(1, e // 2 + 1))
+        assert len(hf) == e + 1 and hf[0] == 1
 
 
 def test_rational_and_modp_agree_on_integer_forms():
@@ -205,3 +210,150 @@ def test_catalecticant_rows_are_operator_images(p):
                 rows.setdefault(a, {})[C.col_monomials[b]] = v
             for a, op in enumerate(C.row_monomials):
                 assert rows.get(a, {}) == apply_operator(op, F).coeffs
+
+
+# -- the vectorized kernel against operator images and the span oracle --------
+
+ORACLE_FIELDS = [None, 7, 2**31 - 1, 2**61 - 1]
+ORACLE_IDS = ["q", "p:7", "p:2^31-1", "p:2^61-1"]
+
+
+def _coefficient(fld, rng):
+    """Nonzero; over QQ with denominator 1, 3 or 7."""
+    if fld is QQ:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.choice((1, 3, 7)))
+    return rng.randrange(1, fld.p)
+
+
+def _form(nvars, monos, fld, rng):
+    return Form(nvars, fld, [(m, _coefficient(fld, rng)) for m in monos])
+
+
+def _position(mono):
+    """Index of mono in monomials_of_degree(len(mono), sum(mono)), counted
+    directly: the monomials that agree before k and are larger at k."""
+    n, rest, pos = len(mono), sum(mono), 0
+    for k, m in enumerate(mono[:-1]):
+        for bigger in range(m + 1, rest + 1):
+            pos += math.comb(rest - bigger + n - k - 2, n - k - 2)
+        rest -= m
+    return pos
+
+
+def _operators(F):
+    """For every degree i, the operator monomials dividing some term of F
+    and the number of (term, operator) pairs."""
+    ops = [set() for _ in range(F.degree + 1)]
+    pairs = [0] * (F.degree + 1)
+    for mono in F.coeffs:
+        support = [k for k, m in enumerate(mono) if m]
+        for part in itertools.product(*(range(mono[k] + 1) for k in support)):
+            op = [0] * F.nvars
+            for k, o in zip(support, part):
+                op[k] = o
+            ops[sum(part)].add(tuple(op))
+            pairs[sum(part)] += 1
+    return [(sorted(o), n) for o, n in zip(ops, pairs)]
+
+
+def _rows(C):
+    """Cat's entries grouped by row; every one is nonzero."""
+    rows = {}
+    for (a, b), v in C.entries.items():
+        assert not C.field.is_zero(v)
+        rows.setdefault(a, {})[b] = v
+    return rows
+
+
+def _check_catalecticants(F, rng, degrees=None, sample=None):
+    """For each i: the rows of Cat_i holding an entry are exactly the
+    operators dividing a term, there is one entry per (term, operator)
+    pair, and each checked row (all, or `sample` of them) is the
+    operator's image under apply_operator, column for column."""
+    for i, (ops, pairs) in enumerate(_operators(F)):
+        if degrees is not None and i not in degrees:
+            continue
+        C = catalecticant(F, i)
+        rows = _rows(C)
+        assert sorted(rows) == sorted(_position(op) for op in ops)
+        assert len(C.entries) == pairs
+        for op in ops if sample is None else rng.sample(ops, min(sample, len(ops))):
+            image = apply_operator(op, F).coeffs
+            assert rows[_position(op)] == {_position(c): v for c, v in image.items()}
+
+
+def test_position_counts_the_graded_lex_listing():
+    for n in range(1, 5):
+        for d in range(5):
+            listing = monomials_of_degree(n, d)
+            assert [_position(m) for m in listing] == list(range(len(listing)))
+
+
+@pytest.mark.parametrize("p", ORACLE_FIELDS, ids=ORACLE_IDS)
+def test_dense_forms_match_operator_images_and_oracle(p):
+    # the shape of gic descents: every monomial of degree 4 or 5 in 12-16
+    # variables, so each (row, column) pair is one term's entry
+    fld = QQ if p is None else GF(p)
+    rng = random.Random(f"dense/{p}")
+    for n, d in ((12, 4), (16, 4), (12, 5)):
+        F = _form(n, monomials_of_degree(n, d), fld, rng)
+        for i in range(d + 1):
+            C = catalecticant(F, i)
+            assert len(C.entries) == C.nrows * C.ncols
+            rows = _rows(C)
+            for op in rng.sample(monomials_of_degree(n, i), 1):
+                image = apply_operator(op, F).coeffs
+                assert rows[_position(op)] == {_position(c): v for c, v in image.items()}
+    # the oracle over QQ is slow on long fractions, so it gets fewer variables
+    n = 8 if p is None else 12
+    F = _form(n, monomials_of_degree(n, 4), fld, rng)
+    assert tuple(hilbert_function(F)) == span_oracle.span_hilbert(F.coeffs, n, 4, p)
+
+
+@pytest.mark.parametrize("p", ORACLE_FIELDS, ids=ORACLE_IDS)
+def test_sparse_forms_in_many_variables_match_operator_images_and_oracle(p):
+    # 30-40 variables: a column key packed in base e+1 would need (e+1)^n,
+    # far beyond int64; most columns hold one entry, so most rows peel off
+    fld = QQ if p is None else GF(p)
+    rng = random.Random(f"sparse/{p}")
+    for t in range(4):
+        n, d = rng.randint(30, 40), 4 + t % 2
+        monos = set()
+        while len(monos) < 12:
+            exps = [0] * n
+            for k in rng.choices(range(n), k=d):
+                exps[k] += 1
+            monos.add(tuple(exps))
+        F = _form(n, sorted(monos), fld, rng)
+        _check_catalecticants(F, rng, degrees=(1, 2, d - 2, d - 1))
+        got = tuple(hilbert_function(F))
+        assert got == span_oracle.span_hilbert(F.coeffs, F.nvars, F.degree, p)
+
+
+def test_high_power_overflows_int64_factors():
+    # y0^300: the factors 300!/(300-i)! far exceed int64 (object arrays)
+    F = parse_form("2/3*y0^300", 1, QQ)
+    assert tuple(hilbert_function(F)) == span_oracle.span_hilbert(F.coeffs, 1, 300, None)
+    _check_catalecticants(F, random.Random(0), degrees=(0, 1, 21, 150, 299, 300))
+    assert catalecticant(F, 150).entries[0, 0] == Fraction(2, 3) * math.perm(300, 150)
+
+
+@pytest.mark.parametrize("p", ORACLE_FIELDS[:1] + ORACLE_FIELDS[2:], ids=ORACLE_IDS[:1] + ORACLE_IDS[2:])
+def test_keys_beyond_int64_are_python_integers(p):
+    # C(100 + 16 - 1, 16) > 2^63 monomials of degree 16 in 100 variables,
+    # so the keys of Cat_0 and Cat_16 leave int64; the matrices stay small
+    fld = QQ if p is None else GF(p)
+    F = parse_form("10000000000000000000000/7*y0^16 + 3*y50^8*y99^8 + y3^5*y7^5*y9^6", 100, fld)
+    assert catalecticant(F, 16).nrows > 2**63
+    _check_catalecticants(F, random.Random(0), degrees=(0, 1, 8, 15, 16))
+    assert tuple(hilbert_function(F)) == span_oracle.span_hilbert(F.coeffs, 100, 16, p)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(7)], ids=["q", "p:7"])
+def test_constant_form_without_variables(fld):
+    F = parse_form("5", 0, fld)
+    C = catalecticant(F, 0)
+    assert (C.nrows, C.ncols, dict(C.entries), C.rank()) == (1, 1, {(0, 0): fld.coerce(5)}, 1)
+    oracle = span_oracle.span_hilbert(F.coeffs, 0, 0, fld.char or None)
+    assert tuple(hilbert_function(F)) == (1,) == oracle
+    assert codimension(F) == 0

@@ -21,7 +21,7 @@ def test_rational_basic_arithmetic():
     assert QQ.neg(a) == Fraction(-2, 3)
     assert QQ.inv(a) == Fraction(3, 2)
     assert QQ.div(QQ.one, a) == Fraction(3, 2)
-    assert QQ.eq(QQ.sub(a, a), QQ.zero)
+    assert QQ.is_zero(QQ.sub(a, a))
 
 
 def test_rational_inverse_of_zero():
