@@ -10,6 +10,7 @@ per-scalar wrappers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import MixedFieldsError
 
@@ -20,8 +21,11 @@ DEFAULT_PRIME = 2147483647
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin; exact for every n below 3.3e24.  Memoized,
+    since every parsed field spec (one per cache entry and per descent row)
+    tests its modulus again and a process sees few moduli."""
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -2,10 +2,25 @@
 
 Restriction substitutes a linear form's pivot variable by the induced
 combination of the remaining ones, so the image lives in the ring with the
-pivot variable removed.  "General" hyperplanes are drawn uniformly at
-random over a large prime field with a recorded seed; each trial derives
-its generator from (seed, trial index), so results do not depend on
-execution order, and every recorded failure witness replays.
+pivot variable removed.  restrict_mod writes F = sum_k y_piv^k G_k and
+evaluates F|_H = G_0 + L (G_1 + L (G_2 + ...)) by Horner's rule, where
+L = -sum_i (a_i / a_piv) y_i, starting at the largest pivot exponent
+present (a form free of the pivot takes no step).  A monomial in the n
+remaining variables is packed into one integer key sum_j m_j (e+1)^j, so
+multiplying by y_j adds (e+1)^j to the key and a Horner step is one numpy
+broadcast: keys plus shifts, values times coefficients.  Equal keys are
+then merged by a stable sort and np.add.reduceat, reduced mod p, and zero
+sums dropped; keys become exponent tuples once, at the end (Kronecker
+substitution; von zur Gathen-Gerhard, Modern Computer Algebra, 8.4).  Keys
+are int64 while (e+1)^n fits and Python integers beyond, the switch of
+apolarity._int_dtype; values are int64 residues for p < 2^31, where the
+product of two fits, and Python objects over QQ and for larger p.  No table
+is kept between calls, since every call draws a new H.
+
+"General" hyperplanes are drawn uniformly at random over a large prime
+field with a recorded seed; each trial derives its generator from (seed,
+trial index), so results do not depend on execution order, and every
+recorded failure witness replays.
 
 The three randomized checks:
   * codim_drop_check: a form essentially involving all n+1 >= 3 of its
@@ -28,8 +43,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from . import linalg
-from .apolarity import codimension
+from .apolarity import _int_dtype, codimension
 from .errors import (
     HypothesisError,
     MixedRingsError,
@@ -127,7 +144,8 @@ def random_linear_form(n_vars: int, field, rng) -> LinearForm:
 
 def restrict_mod(F: Form, H: LinearForm) -> Form:
     """The image of F in the quotient by H: substitute the pivot variable
-    and drop it from the ring (indices above the pivot shift down)."""
+    and drop it from the ring (indices above the pivot shift down).  Horner's
+    rule in the pivot on packed monomial keys; see the module docstring."""
     if H.nvars != F.nvars or H.field != F.field:
         raise MixedRingsError(
             f"hyperplane in {H.nvars} vars over {H.field} cannot restrict a "
@@ -138,28 +156,55 @@ def restrict_mod(F: Form, H: LinearForm) -> Form:
     n = F.nvars - 1
     if F.is_zero:
         return Form.zero(n, fld)
+    base = F.degree + 1
+    key_type = _int_dtype(base**n)
+    place = [base**j for j in range(n)]
+    weights = np.array(place[:piv] + [0] + place[piv:], key_type)
+    p = fld.char
+    val_type = np.int64 if 0 < p < 2**31 else object
     inv = fld.inv(H.coeffs[piv])
-    sub = {}
-    for i, a in enumerate(H.coeffs):
-        if i != piv and not fld.is_zero(a):
-            j = i if i < piv else i - 1
-            sub[tuple(1 if t == j else 0 for t in range(n))] = fld.neg(fld.mul(a, inv))
-    L = Form._raw(n, fld, sub, 1 if sub else -1)
-    powers = [Form.constant(n, fld, 1)]
-    out = {}
-    for mono, c in F.coeffs.items():
-        k = mono[piv]
-        rest = mono[:piv] + mono[piv + 1 :]
-        while len(powers) <= k:
-            powers.append(powers[-1] * L)
-        for mL, cL in powers[k].coeffs.items():
-            m = tuple(a + b for a, b in zip(rest, mL))
-            s = fld.add(out.get(m, fld.zero), fld.mul(c, cL))
-            if fld.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return Form._raw(n, fld, out, F.degree if out else -1)
+    lin = [i for i, a in enumerate(H.coeffs) if i != piv and not fld.is_zero(a)]
+    shifts = weights[lin]
+    coeffs = np.array([fld.neg(fld.mul(H.coeffs[i], inv)) for i in lin], val_type)
+    monos = np.array(list(F.coeffs), np.int64)
+    k = monos[:, piv]
+    keys = monos.astype(key_type, copy=False) @ weights
+    vals = np.array(list(F.coeffs.values()), val_type)
+    top = int(k.max())
+    acc_keys, acc_vals = keys[k == top], vals[k == top]
+    for j in range(top - 1, -1, -1):
+        # acc <- acc * L + G_j, where G_j is the coefficient of y_piv^j;
+        # L's terms -a_i / a_piv * y_i are (shifts, coeffs)
+        prods = acc_vals[:, None] * coeffs
+        if p:
+            prods %= p
+        here = k == j
+        acc_keys, acc_vals = _merge(
+            np.concatenate(((acc_keys[:, None] + shifts).ravel(), keys[here])),
+            np.concatenate((prods.ravel(), vals[here])),
+            p,
+        )
+    exps = acc_keys[:, None] // np.array(place, key_type) % base
+    out = dict(zip(map(tuple, exps.astype(np.int64).tolist()), acc_vals.tolist()))
+    return Form._raw(n, fld, out, F.degree)
+
+
+def _merge(keys, vals, p):
+    """Sum the values of equal keys (mod p when p), dropping zero sums;
+    keys come out ascending."""
+    if not len(keys):
+        return keys, vals
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    vals = np.add.reduceat(vals[order], start)
+    if p:
+        vals %= p
+    keep = vals != 0
+    return keys[start][keep], vals[keep]
 
 
 # Seed of the plane stream.  Its key, these bytes followed by their SHA-512,

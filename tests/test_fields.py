@@ -11,6 +11,7 @@ from apolar import (
     parse_field_spec,
     trial_rng,
 )
+from apolar import fields
 
 
 def test_rational_basic_arithmetic():
@@ -66,6 +67,20 @@ def test_gf_requires_prime_modulus():
         GF(91)  # 7 * 13
     with pytest.raises(ValueError):
         GF(1)
+
+
+def test_primality_is_tested_once_per_modulus():
+    small = [n for n in range(2, 300) if all(n % q for q in range(2, n))]
+    for _ in range(2):  # the memoized answers match trial division
+        assert [n for n in range(300) if fields.is_prime(n)] == small
+    want = GF(2**61 - 1)
+    hits = fields.is_prime.cache_info().hits
+    for _ in range(3):
+        assert parse_field_spec("p:2305843009213693951") == want
+    assert fields.is_prime.cache_info().hits == hits + 3
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            GF(91)
 
 
 def test_gf_coerce_fraction_with_unit_denominator():

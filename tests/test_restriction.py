@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +33,7 @@ from apolar import (
 )
 from apolar import restriction
 from apolar.cli import run
+from apolar.poly import monomials_of_degree
 
 
 def _eval_dict(coeffs, point, p):
@@ -96,6 +98,124 @@ def test_restriction_agrees_with_point_substitution():
         lhs = _eval_dict(F.coeffs, full, p)
         rhs = 0 if G.is_zero else _eval_dict(G.coeffs, point, p)
         assert lhs == rhs
+
+
+def _expand_restriction(F, H):
+    """F|_H term by term: the sum of c * y^rest * L^k over the terms c * y^m
+    of F, where k is the pivot exponent of m, rest is m without it and
+    L = -sum_i (a_i / a_piv) y_i, all by Form products and powers."""
+    fld, piv, n = F.field, H.pivot, F.nvars - 1
+    inv = fld.inv(H.coeffs[piv])
+    L = Form.zero(n, fld)
+    for i, a in enumerate(H.coeffs):
+        if i != piv:
+            unit = [int(t == i - (i > piv)) for t in range(n)]
+            L = L + Form.monomial(n, fld, unit, fld.neg(fld.mul(a, inv)))
+    powers = {}
+    total = Form.zero(n, fld)
+    for mono, c in F.coeffs.items():
+        k = mono[piv]
+        if k not in powers:
+            powers[k] = L**k
+        rest = mono[:piv] + mono[piv + 1 :]
+        total = total + Form.monomial(n, fld, rest, c) * powers[k]
+    return total
+
+
+def _scalar(fld, rng):
+    """A random scalar, over QQ with a denominator up to 9."""
+    if fld is QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return fld.random(rng)
+
+
+def _random_terms_form(nvars, degree, fld, rng, terms=None):
+    monos = monomials_of_degree(nvars, degree)
+    if terms is not None and terms < len(monos):
+        monos = rng.sample(monos, terms)
+    return Form(nvars, fld, [(m, _scalar(fld, rng)) for m in monos])
+
+
+def _hyperplane(nvars, fld, rng, pivot, zeros=0.4):
+    """Coefficients that vanish with probability about `zeros` off the pivot."""
+    coeffs = [0 if rng.random() < zeros else _scalar(fld, rng) for _ in range(nvars)]
+    while fld.is_zero(fld.coerce(coeffs[pivot])):
+        coeffs[pivot] = _scalar(fld, rng)
+    return LinearForm(coeffs, fld, pivot=pivot)
+
+
+RESTRICTION_FIELDS = [QQ, GF(7), DEFAULT_FIELD, GF(2**61 - 1)]
+RESTRICTION_IDS = ["q", "p:7", "p:2^31-1", "p:2^61-1"]
+
+
+@pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
+def test_restriction_matches_term_by_term_expansion(fld):
+    rng = trial_rng(71, RESTRICTION_FIELDS.index(fld))
+    for _ in range(12):
+        nv = rng.randrange(2, 6)
+        F = _random_terms_form(
+            nv, rng.randrange(0, 7), fld, rng, rng.choice([None, 1, 3, 8])
+        )
+        for piv in range(nv):
+            H = _hyperplane(nv, fld, rng, piv)
+            G = restrict_mod(F, H)
+            assert G == _expand_restriction(F, H)
+            assert G.nvars == nv - 1
+            assert G.degree == (F.degree if G.coeffs else -1)
+
+
+@pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
+def test_restriction_edge_shapes(fld):
+    rng = trial_rng(72, RESTRICTION_FIELDS.index(fld))
+    c = _scalar(fld, rng) or fld.one
+    # one variable: y0 = 0 on H, so only a constant survives, in 0 variables
+    H1 = LinearForm([_scalar(fld, rng) or fld.one], fld)
+    assert restrict_mod(Form.monomial(1, fld, [3], c), H1) == Form.zero(0, fld)
+    assert restrict_mod(Form.constant(1, fld, c), H1) == Form.constant(0, fld, c)
+    # a constant in several variables stays that constant
+    H4 = _hyperplane(4, fld, rng, 2)
+    assert restrict_mod(Form.constant(4, fld, c), H4) == Form.constant(3, fld, c)
+    assert restrict_mod(Form.zero(4, fld), H4) == Form.zero(3, fld)
+    # a power of H vanishes on H, whatever the pivot and the zeros of H
+    for piv in range(4):
+        H = _hyperplane(4, fld, rng, piv)
+        assert restrict_mod(H.as_form() ** 3, H).is_zero
+    # H = a * y_piv: the image keeps only the terms free of the pivot
+    F = _random_terms_form(3, 4, fld, rng)
+    G = restrict_mod(F, LinearForm([0, c, 0], fld))
+    assert G == _expand_restriction(F, LinearForm([0, c, 0], fld))
+
+
+@pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
+def test_restriction_of_sparse_forms_in_many_variables(fld):
+    # (5 + 1)^29 > 2^63: the packed monomial keys are Python integers
+    rng = trial_rng(73, RESTRICTION_FIELDS.index(fld))
+    for piv in (0, 17, 29):
+        terms = []
+        for k in range(6):  # every pivot exponent, so every Horner step
+            mono = [0] * 30
+            mono[piv] = k
+            for _ in range(5 - k):
+                mono[rng.randrange(30)] += 1
+            terms.append((mono, _scalar(fld, rng) or fld.one))
+        F = Form(30, fld, terms)
+        # few terms in L keep the expansion's L^5 small
+        H = _hyperplane(30, fld, rng, piv, zeros=0.8)
+        assert restrict_mod(F, H) == _expand_restriction(F, H)
+
+
+def test_restriction_multiplies_no_forms(monkeypatch):
+    fld = DEFAULT_FIELD
+    F = random_form(5, 4, fld, trial_rng(74, 0))
+    H = random_linear_form(5, fld, trial_rng(74, 1))
+    want = _expand_restriction(F, H)
+
+    def refuse(*args):
+        raise AssertionError("restrict_mod multiplied or powered a Form")
+
+    monkeypatch.setattr(Form, "__mul__", refuse)
+    monkeypatch.setattr(Form, "__pow__", refuse)
+    assert restrict_mod(F, H) == want
 
 
 def test_restriction_drops_one_variable():
