@@ -22,16 +22,14 @@ from .search import FBoundEntry
 log = logging.getLogger(__name__)
 
 
-def load_table(path: str, missing_ok: bool = True) -> list[FBoundEntry]:
+def load_table(path: str) -> list[FBoundEntry]:
     """Load and re-verify all entries; a missing or empty file is an empty
     table, a structurally broken one raises CorruptCacheError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
-        if missing_ok:
-            return []
-        raise CorruptCacheError(f"cache file not found: {path}")
+        return []
     if not text.strip():
         return []
     try:
@@ -67,7 +65,7 @@ def merge_store(path: str, entries) -> list[FBoundEntry]:
     `path + ".lock"`, so a concurrent writer's entries are never lost."""
     with open(path + ".lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        table = {(en.e, en.r): en for en in load_table(path, missing_ok=True)}
+        table = {(en.e, en.r): en for en in load_table(path)}
         for en in entries:
             key = (en.e, en.r)
             old = table.get(key)

@@ -10,10 +10,23 @@ Greatest common divisors are computed by recursive content/primitive-part
 reduction with a subresultant pseudo-remainder sequence in the chosen main
 variable; common monomial factors are stripped first, and a constant
 coefficient short-circuits content extraction.
+
+Form text is parsed in one left-to-right pass.  Three precompiled patterns,
+each anchored at the current position, read the text: a coefficient
+(integer, optional '/' denominator, optional '*'), a variable factor ('y',
+index, optional '^' exponent, optional '*') and a whitespace skip.  An
+optional group that matched nothing marks where the text leaves the
+grammar, and the error names the next character's position.  Errors keep
+the precedence of a tokenize-then-parse reading: one search for a
+character outside the grammar runs before the scan, so an unexpected
+character anywhere beats every other error; syntax errors, zero
+denominators and unknown variables follow in text order, and a
+homogeneity error only once the whole text has parsed.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .errors import (
@@ -328,51 +341,15 @@ def random_form(nvars, degree, field, rng, terms=None):
 # parsing
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch == "y":
-            tokens.append(("y", None, i))
-            i += 1
-        elif ch in "+-*/^":
-            tokens.append((ch, None, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+_UNEXPECTED = re.compile(r"[^\s\dy+\-*/^]")
+_SPACE = re.compile(r"\s*")
+_COEFF = re.compile(r"\s*(\d+)(?:\s*(/)\s*(\d+)?)?\s*(\*)?")
+_FACTOR = re.compile(r"\s*(y)?\s*(\d+)?(?:\s*(\^)\s*(\d+)?)?\s*(\*)?")
 
 
-class _TokenStream:
-    def __init__(self, tokens, length):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def expect_int(self, what):
-        tok = self.next()
-        if tok is None or tok[0] != "int":
-            raise ParseError(f"expected {what}", tok[2] if tok else self.length)
-        return tok[1], tok[2]
+def _skip(text, pos):
+    """Position of the next non-space character, or len(text)."""
+    return _SPACE.match(text, pos).end()
 
 
 def parse_form(text: str, nvars: int, field) -> Form:
@@ -380,26 +357,70 @@ def parse_form(text: str, nvars: int, field) -> Form:
     by '+'/'-'; a bare coefficient is accepted as a degree-0 term."""
     if nvars < 0:
         raise ValueError("nvars must be nonnegative")
-    stream = _TokenStream(_tokenize(text), len(text))
-    if stream.peek() is None:
+    bad = _UNEXPECTED.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    end = len(text)
+    pos = _skip(text, 0)
+    if pos == end:
         raise ParseError("empty form text", 0)
+    neg = text[pos] == "-"
+    if text[pos] in "+-":
+        pos = _skip(text, pos + 1)
     terms = []
-    sign = 1
-    tok = stream.peek()
-    if tok and tok[0] in "+-":
-        stream.next()
-        sign = -1 if tok[0] == "-" else 1
     while True:
-        terms.append(_parse_term(stream, nvars, field, sign))
-        tok = stream.next()
-        if tok is None:
-            break
-        if tok[0] == "+":
-            sign = 1
-        elif tok[0] == "-":
-            sign = -1
+        if pos == end:
+            raise ParseError("expected a term", end)
+        start = pos
+        coeff = field.one
+        exps = [0] * nvars
+        m = _COEFF.match(text, pos)
+        if m:
+            if m[2] is None:
+                coeff = field.from_int(int(m[1]))
+            elif m[3] is None:
+                raise ParseError("expected denominator", _skip(text, m.end(2)))
+            else:
+                try:
+                    coeff = field.from_ratio(int(m[1]), int(m[3]))
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator", m.start(3)) from None
+            pos = m.end()
+        if m and m[4] is None:
+            # bare constant term (degree 0)
+            what = "'*' after coefficient"
         else:
-            raise ParseError("expected '+' or '-' between terms", tok[2])
+            what = "'+' or '-' between terms"
+            while True:
+                m = _FACTOR.match(text, pos)
+                if m[1] is None:
+                    raise ParseError(
+                        "expected a variable factor 'y<index>'", _skip(text, pos)
+                    )
+                if m[2] is None:
+                    raise ParseError("expected variable index", _skip(text, m.end(1)))
+                idx = int(m[2])
+                if idx >= nvars:
+                    raise UnknownVariableError(
+                        f"variable y{idx} outside ring with {nvars} variables",
+                        m.start(2),
+                    )
+                if m[3] is None:
+                    exps[idx] += 1
+                elif m[4] is None:
+                    raise ParseError("expected exponent", _skip(text, m.end(3)))
+                else:
+                    exps[idx] += int(m[4])
+                pos = m.end()
+                if m[5] is None:
+                    break
+        terms.append((tuple(exps), field.neg(coeff) if neg else coeff, start))
+        if pos == end:
+            break
+        if text[pos] not in "+-":
+            raise ParseError(f"expected {what}", pos)
+        neg = text[pos] == "-"
+        pos = _skip(text, pos + 1)
     coeffs = {}
     degree = None
     for mono, c, pos in terms:
@@ -421,64 +442,6 @@ def parse_form(text: str, nvars: int, field) -> Form:
         else:
             coeffs[mono] = c
     return Form._raw(nvars, field, coeffs, degree if coeffs else -1)
-
-
-def _parse_term(stream, nvars, field, sign):
-    tok = stream.peek()
-    if tok is None:
-        raise ParseError("expected a term", stream.length)
-    start = tok[2]
-    coeff = field.one
-    exps = [0] * nvars
-    if tok[0] == "int":
-        stream.next()
-        num = tok[1]
-        nxt = stream.peek()
-        if nxt and nxt[0] == "/":
-            stream.next()
-            den, dpos = stream.expect_int("denominator")
-            try:
-                coeff = field.from_ratio(num, den)
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", dpos) from None
-            nxt = stream.peek()
-        else:
-            coeff = field.from_int(num)
-        if nxt and nxt[0] == "*":
-            stream.next()
-        else:
-            # bare constant term (degree 0)
-            if nxt and nxt[0] not in "+-":
-                raise ParseError("expected '*' after coefficient", nxt[2])
-            if sign < 0:
-                coeff = field.neg(coeff)
-            return tuple(exps), coeff, start
-    while True:
-        tok = stream.next()
-        if tok is None or tok[0] != "y":
-            raise ParseError(
-                "expected a variable factor 'y<index>'",
-                tok[2] if tok else stream.length,
-            )
-        idx, ipos = stream.expect_int("variable index")
-        if idx >= nvars:
-            raise UnknownVariableError(
-                f"variable y{idx} outside ring with {nvars} variables", ipos
-            )
-        e = 1
-        nxt = stream.peek()
-        if nxt and nxt[0] == "^":
-            stream.next()
-            e, _ = stream.expect_int("exponent")
-        exps[idx] += e
-        nxt = stream.peek()
-        if nxt and nxt[0] == "*":
-            stream.next()
-            continue
-        break
-    if sign < 0:
-        coeff = field.neg(coeff)
-    return tuple(exps), coeff, start
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +475,6 @@ def exact_div(F: Form, G: Form) -> Form:
             else:
                 rem[m] = s
     return Form._raw(F.nvars, field, quot, F.degree - G.degree)
-
-
-def divides(G: Form, F: Form) -> bool:
-    try:
-        exact_div(F, G)
-        return True
-    except ExactDivisionError:
-        return False
 
 
 def form_gcd(forms) -> Form:

@@ -30,16 +30,18 @@ The three randomized checks:
   * check_partials_gcd: for F = prod p_j^{e_j} with distinct irreducible
     p_j, the gcd of the first partials of F is prod p_j^{e_j - 1}.
 
-Both gcd questions are answered by a one-sided certificate first: forms
-whose restrictions to a random plane are coprime binary forms, not all
-zero, are coprime (von zur Gathen-Gerhard, Modern Computer Algebra).  Only
-when the plane test fails does the exact multivariate gcd (form_gcd) run,
-so verdicts never depend on the plane.  The plane comes from a fixed
-stream of its own, so no suite draw changes either.
+Both gcd questions are one coprimality decision, _coprime, which tries a
+one-sided certificate first: forms whose restrictions to a random plane
+are coprime binary forms, not all zero, are coprime (von zur Gathen-Gerhard,
+Modern Computer Algebra).  Only when the plane test fails does the exact
+multivariate gcd (form_gcd) run, so verdicts never depend on the plane.
+The plane comes from a fixed stream of its own, so no suite draw changes
+either.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -54,7 +56,7 @@ from .errors import (
     ZeroFormError,
 )
 from .fields import DEFAULT_FIELD, random_nonzero
-from .poly import Form, exact_div, form_gcd, monomial_index, monomials_of_degree, random_form
+from .poly import Form, form_gcd, monomial_index, monomials_of_degree, random_form
 
 
 _INDEX_BITS = 20
@@ -226,6 +228,14 @@ def _coprime_on_plane(forms, rng) -> bool:
     return bool(forms) and form_gcd(forms).degree == 0
 
 
+def _coprime(forms) -> bool:
+    """Whether the forms have gcd 1: the plane certificate, else form_gcd."""
+    return (
+        _coprime_on_plane(forms, random.Random(_PLANE_SEED))
+        or form_gcd(forms).degree == 0
+    )
+
+
 @dataclass
 class Witness:
     """A replayable failing instance of a randomized check."""
@@ -339,10 +349,7 @@ def restricted_rank(forms, H: LinearForm) -> int:
         raise PreconditionError(f"common degree {d} is not > 1")
     if _span_rank(forms) != len(forms):
         raise PreconditionError("forms are linearly dependent")
-    if (
-        not _coprime_on_plane(forms, random.Random(_PLANE_SEED))
-        and form_gcd(forms).degree != 0
-    ):
+    if not _coprime(forms):
         raise PreconditionError("forms share a nonconstant common divisor")
     restricted = [restrict_mod(f, H) for f in forms]
     keep = [g for g in restricted if not g.is_zero]
@@ -363,12 +370,13 @@ def quadratic_is_split(q: Form) -> bool:
 
 
 def check_partials_gcd(factors) -> bool:
-    """Build F = prod p_j^{e_j} and test gcd(dF/dy_0, ..., dF/dy_n) ==
-    prod p_j^{e_j - 1} up to the monic normalization.
+    """Test gcd(dF/dy_0, ..., dF/dy_n) == prod p_j^{e_j - 1} for
+    F = prod p_j^{e_j}, up to the monic normalization, without building F.
 
-    The prediction E = prod p_j^{e_j - 1} divides every partial by the
-    product rule.  If the cofactors partial / E are coprime on a random
-    plane, the gcd is E; otherwise the exact form_gcd of the partials
+    By the product rule dF/dy_i = E * c_i exactly, in every characteristic,
+    where E = prod p_j^{e_j - 1} and the cofactor
+    c_i = sum_j e_j (dp_j/dy_i) prod_{k != j} p_k.  So the gcd of the
+    partials is E exactly when the cofactors are coprime, which _coprime
     decides.  A multiplicity divisible by the characteristic is refused
     with ValueError: the partials of p^e then vanish and E is not their
     gcd."""
@@ -376,8 +384,6 @@ def check_partials_gcd(factors) -> bool:
     if not factors:
         raise ValueError("empty factor list")
     base = factors[0][0]
-    F = Form.constant(base.nvars, base.field, 1)
-    expected = Form.constant(base.nvars, base.field, 1)
     for p, e in factors:
         base._same_ring(p)
         if p.degree < 1:
@@ -389,13 +395,17 @@ def check_partials_gcd(factors) -> bool:
                 f"multiplicity {e} is divisible by the characteristic "
                 f"{base.field.char}"
             )
-        F = F * p**e
-        expected = expected * p ** (e - 1)
-    partials = [F.partial(i) for i in range(F.nvars)]
-    cofactors = [exact_div(g, expected) for g in partials]
-    if _coprime_on_plane(cofactors, random.Random(_PLANE_SEED)):
-        return True
-    return form_gcd(partials) == expected.monic()
+    one = Form.constant(base.nvars, base.field, 1)
+    zero = Form.zero(base.nvars, base.field)
+    rests = [
+        math.prod((q for k, (q, _) in enumerate(factors) if k != j), start=one)
+        for j in range(len(factors))
+    ]
+    cofactors = [
+        sum((p.partial(i) * rest * e for (p, e), rest in zip(factors, rests)), zero)
+        for i in range(base.nvars)
+    ]
+    return _coprime(cofactors)
 
 
 # ---------------------------------------------------------------------------

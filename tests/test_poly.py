@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from apolar import (
     random_form,
     trial_rng,
 )
-from apolar.poly import divides, grlex_key
+from apolar.poly import grlex_key
 
 
 def test_monomials_of_degree_count_and_order():
@@ -133,7 +134,6 @@ def test_exact_division():
     A = parse_form("y0^2 - y1^2", 2, QQ)
     L = parse_form("y0 - y1", 2, QQ)
     assert str(exact_div(A, L)) == "y0 + y1"
-    assert divides(L, A)
     with pytest.raises(ExactDivisionError):
         exact_div(parse_form("y0^2 + y1^2", 2, QQ), L)
     with pytest.raises(ZeroDivisionError):
@@ -146,7 +146,8 @@ def test_gcd_shared_square_factor():
     B = parse_form("3*y0^2*y1 + 6*y0*y1^2 + 3*y1^3", 2, QQ)
     G = form_gcd([A, B])
     assert str(G) == "y0^2 + 2*y0*y1 + y1^2"
-    assert divides(G, A) and divides(G, B)
+    exact_div(A, G)
+    exact_div(B, G)
 
 
 def test_gcd_monomials_and_disjoint_variables():
@@ -184,7 +185,7 @@ def test_gcd_randomized_common_factor():
         A = random_form(nv, rng.randrange(1, 3), fld, rng)
         B = random_form(nv, rng.randrange(1, 3), fld, rng)
         got = form_gcd([G * A, G * B])
-        assert divides(G.monic(), got)
+        exact_div(got, G.monic())
 
 
 def test_gcd_over_prime_field():
@@ -209,3 +210,87 @@ def test_extend_and_variables():
     assert G.nvars == 4 and G.degree == 2
     assert F.variables() == {0, 1}
     assert parse_form("y1^3", 3, QQ).variables() == {1}
+
+
+# The exact message (with its position) and the position of each error kind.
+@pytest.mark.parametrize(
+    "text, nvars, fld, kind, message, pos",
+    [
+        ("y0 + x1", 3, QQ, ParseError, "unexpected character 'x'", 5),
+        ("y0 ++ 3x", 3, QQ, ParseError, "unexpected character 'x'", 7),
+        ("y9 + y0\t#", 3, QQ, ParseError, "unexpected character '#'", 8),
+        ("", 3, QQ, ParseError, "empty form text", 0),
+        ("  \t", 3, QQ, ParseError, "empty form text", 0),
+        ("y0 + ", 3, QQ, ParseError, "expected a term", 5),
+        ("-", 3, QQ, ParseError, "expected a term", 1),
+        ("y0^2 + y1 +", 3, QQ, ParseError, "expected a term", 11),
+        ("3/ *y0", 3, QQ, ParseError, "expected denominator", 3),
+        ("3 /", 3, QQ, ParseError, "expected denominator", 3),
+        ("y^2", 3, QQ, ParseError, "expected variable index", 1),
+        ("2*y ", 3, QQ, ParseError, "expected variable index", 4),
+        ("y0^", 3, QQ, ParseError, "expected exponent", 3),
+        ("y0 ^ *y1", 3, QQ, ParseError, "expected exponent", 5),
+        ("3/0*y0", 3, QQ, ParseError, "zero denominator", 2),
+        ("y0 + 1/ 14*y1", 3, GF(7), ParseError, "zero denominator", 8),
+        ("3 y0", 3, QQ, ParseError, "expected '*' after coefficient", 2),
+        ("3/4/5", 3, QQ, ParseError, "expected '*' after coefficient", 3),
+        ("y0 - 2^2", 3, QQ, ParseError, "expected '*' after coefficient", 6),
+        ("3*", 3, QQ, ParseError, "expected a variable factor 'y<index>'", 2),
+        ("3* + y0", 3, QQ, ParseError, "expected a variable factor 'y<index>'", 3),
+        ("+-y0", 3, QQ, ParseError, "expected a variable factor 'y<index>'", 1),
+        ("*y0", 3, QQ, ParseError, "expected a variable factor 'y<index>'", 0),
+        ("y0 y1", 3, QQ, ParseError, "expected '+' or '-' between terms", 3),
+        ("y0^2 3", 3, QQ, ParseError, "expected '+' or '-' between terms", 5),
+        ("y0*y1 / 2", 3, QQ, ParseError, "expected '+' or '-' between terms", 6),
+        ("y0 + y5", 3, QQ, UnknownVariableError,
+         "variable y5 outside ring with 3 variables", 6),
+        ("y 12^2 + +", 3, QQ, UnknownVariableError,
+         "variable y12 outside ring with 3 variables", 2),
+        ("y0", 0, QQ, UnknownVariableError,
+         "variable y0 outside ring with 0 variables", 1),
+    ],
+)
+def test_parse_error_messages_and_positions(text, nvars, fld, kind, message, pos):
+    with pytest.raises(kind) as info:
+        parse_form(text, nvars, fld)
+    assert type(info.value) is kind
+    assert str(info.value) == f"{message} (at position {pos})"
+    assert info.value.pos == pos
+
+
+def test_parse_homogeneity_error_names_the_term():
+    with pytest.raises(NotHomogeneousError) as info:
+        parse_form("y0^2 + 0*y2 - 3 * y1", 3, QQ)
+    assert str(info.value) == "term of degree 1 at position 14 in a degree-2 form"
+    # zero terms take no part in the degree; cancelling terms still do
+    assert parse_form("0*y0 + y1^2", 3, QQ) == parse_form("y1^2", 3, QQ)
+    with pytest.raises(NotHomogeneousError):
+        parse_form("y0 - y0 + y1^2", 3, QQ)
+
+
+_FUZZ_ALPHABET = "y0123456789+-*/^ " + "yy0012+-* " + "x\t٣²"
+
+
+def test_parse_fuzz_returns_a_form_or_a_positioned_error():
+    """Random strings over the grammar's characters, plus a foreign letter,
+    a tab, a Unicode decimal digit and a superscript digit: every input
+    parses to a form that round-trips through str, or raises one of the
+    parser's errors with a position inside the text."""
+    rng = trial_rng(13, 0)
+    fields = [QQ, GF(7), DEFAULT_FIELD]
+    parsed = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randrange(12)))
+        nvars = rng.randrange(5)
+        fld = rng.choice(fields)
+        try:
+            F = parse_form(text, nvars, fld)
+        except ParseError as exc:
+            assert 0 <= exc.pos <= len(text), text
+        except NotHomogeneousError as exc:
+            pos = int(re.search(r"at position (\d+)", str(exc))[1])
+            assert 0 <= pos <= len(text), text
+        else:
+            parsed += 1
+            assert parse_form(str(F), nvars, fld) == F, text
+    assert parsed > 50
