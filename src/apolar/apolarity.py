@@ -7,31 +7,43 @@ every degree-i operator monomial (row) and every degree-(e-i) monomial
 (column), the coefficient of the column monomial in the image.  Its exact
 rank is the i-th value of the Hilbert function of the apolar algebra.
 
-A term c*y^m of F lands in exactly the cells (op, m - op) with op <= m, and
-`catalecticant` builds all of them in one vectorized pass over the terms,
-with no Python loop over entries.  Each term is written as the list of its
-variables with multiplicity, variable k as the reversed index n-1-k, so the
-list is ascending.  An operator op <= m is a choice of i positions in that
-list that takes the copies of a variable first to last, so each op is
+A term c*y^m of F lands in exactly the cells (op, m - op) with op <= m.
+`_Terms` lays out the terms of a list of forms with one field and one degree
+as flat arrays, and `_assemble` builds the cells of the i-th catalecticant of
+every one of them in one vectorized pass, with no Python loop over entries
+or forms.  Each term is written as the list of its variables with
+multiplicity, variable k of an n-variable form as the reversed index n-1-k,
+so the list is ascending.  An operator op <= m is a choice of i positions in
+that list that takes the copies of a variable first to last, so each op is
 chosen once.  Its entry is c * m!/(m - op)!, the product over the chosen
 positions of the copies of that variable left from there on.  A row or
 column is keyed by the colex rank of its multiset of reversed indices,
 sum_j C(u_j + j - 1, j) over u_1 <= u_2 <= ..., which is below the number
-N of monomials of its degree; its position in the graded-lex listing is
-N - 1 minus the key.  Values are int64 while every product fits and Python
-integers in an object array otherwise.  Over QQ the coefficients are
-cleared of denominators once per form: that common scalar leaves the rank
-unchanged, and `entries` divides it back out.  These per-form arrays are
-kept for the latest form, so the catalecticants that hilbert_function
-builds in turn share them.
+N of monomials of its degree in n variables; its position in the graded-lex
+listing is N - 1 minus the key.  The table C(u + j - 1, j) does not depend
+on n, so one table sized for the most variables of the list gives every
+form the keys it has alone; across the list a key is prefixed by the index
+of its form.  Values are int64 while every product fits and Python integers
+in an object array otherwise.  Over QQ each form's coefficients are cleared
+of denominators: that scalar leaves the rank unchanged, and `entries`
+divides it back out.
 
 c is nonzero and the factor divides e!, a unit once the characteristic is 0
 or exceeds e, which catalecticant requires.  So every entry is nonzero and
-no zero test runs.  Pruning happens in `CatalecticantMatrix.rank`: rows and
-columns holding no entry are never built, and a column holding a single
-entry makes its row independent of all the others, so each such row adds
-one to the rank and skips elimination.  The rest goes to
-`linalg.matrix_rank` as a list of lists with no more rows than columns.
+no zero test runs.  `_ranks` keeps only the rows and columns holding an
+entry and peels all matrices of a list at once, repeating two steps until
+neither removes anything.  Both are exact in every field:
+- a column holding a single entry makes its row independent: every other
+  row vanishes in that column, so rank A = 1 + rank(A without the row);
+- a row holding a single entry v at column c pivots out c: subtracting
+  multiples of that row clears column c from every other row and changes
+  nothing else, v is a unit, so rank A = 1 + rank(A without the row and c).
+The rows (columns) removed by one step each own a column (row) where all
+other rows (columns) vanish, so they are independent of each other too and
+each adds one.  Every row and column carries the index of its form, so
+`np.bincount` gives the peeled rank per form, and only what is left of each
+goes to `linalg.matrix_rank`, as a list of lists with no more rows than
+columns.
 """
 
 from __future__ import annotations
@@ -100,7 +112,7 @@ def _colex_table(nvars: int, degree: int):
 
 def _compact(keys):
     """Ids 0..k-1 for the k distinct keys, in key order, and k."""
-    order = keys.argsort(kind="stable")
+    order = keys.argsort()
     ordered = keys[order]
     new = np.empty(len(keys), bool)
     new[:1] = True
@@ -110,53 +122,189 @@ def _compact(keys):
     return ids, int(np.count_nonzero(new))
 
 
+# the assembly's arrays grow with the terms of a batch; a batch holds at
+# most this many terms (or one form), so batching the dense restrictions of
+# a gic table needs little more memory than its largest one alone (4368
+# terms at e = 5, r = 13)
+_BATCH_TERMS = 4096
+
+
+def _check_characteristic(F: Form):
+    if 0 < F.field.char <= F.degree:
+        # differentiation multiplies by factorials up to deg F, which
+        # vanish mod such a characteristic and would silently drop terms
+        raise ValueError(
+            f"characteristic {F.field.char} does not exceed the degree {F.degree}"
+        )
+
+
 class _Terms:
-    """The terms of one form as flat arrays.  Term a is the ascending list of
-    its variables with multiplicity, variable k as u = n-1-k, at positions
-    a*e .. a*e + e - 1.  first[g]: position g holds the first copy of its
-    variable (False past the end); left[g]: the copies of that variable
-    from g on; digits[a, q] = u*(e+1), the row of u in the colex table.
-    coeffs are integers: residues, or over QQ the numerators over the
-    common denominator scale."""
+    """The terms of forms with one field and one degree e as flat arrays.
+    Term a is the ascending list of its variables with multiplicity,
+    variable k of an n-variable form as u = n-1-k, at positions a*e .. a*e +
+    e - 1.  owner[a]: the index of its form; first[g]: position g holds the
+    first copy of its variable (False past the end); left[g]: the copies of
+    that variable from g on; digits[a, q] = u*(e+1), the row of u in the
+    colex table of nvars, the most variables of any of the forms.  coeffs
+    are integers: residues, or over QQ the numerators over the common
+    denominator scales[f] of form f."""
 
-    __slots__ = ("form", "first", "left", "digits", "coeffs", "scale")
+    __slots__ = ("field", "degree", "nvars", "owner", "first", "left", "digits",
+                 "coeffs", "scales")
 
-    def __init__(self, F: Form):
-        n, e, t = F.nvars, F.degree, len(F.coeffs)
+    def __init__(self, forms):
+        field, e = forms[0].field, forms[0].degree
+        n = max(F.nvars for F in forms)
+        sizes = [len(F.coeffs) for F in forms]
+        t = sum(sizes)
         size = t * e
+
+        def padded(F):
+            # zeros in front: reversed, variable k of F is u = F.nvars-1-k
+            if F.nvars == n:
+                return itertools.chain.from_iterable(F.coeffs)
+            pad = (0,) * (n - F.nvars)
+            return itertools.chain.from_iterable(pad + m for m in F.coeffs)
+
         exps = np.fromiter(
-            itertools.chain.from_iterable(F.coeffs), np.min_scalar_type(e), t * n
+            itertools.chain.from_iterable(map(padded, forms)),
+            np.min_scalar_type(e),
+            t * n,
         )
         flat = np.arange(t * n).repeat(exps.reshape(t, n)[:, ::-1].ravel())
         first = np.empty(size + e, bool)
         first[:1] = True
         np.not_equal(flat[1:], flat[:-1], out=first[1:size])
         first[size:] = False
-        self.form = F
+        self.field, self.degree, self.nvars = field, e, n
+        self.owner = np.arange(len(forms)).repeat(sizes)
         self.first = first
         self.left = flat.searchsorted(flat, "right") - np.arange(size)
         self.digits = (flat % n * (e + 1)).reshape(t, e)
-        ints = list(F.coeffs.values())
-        if F.field.char:
-            self.scale, top = 1, F.field.char - 1
+        if field.char:
+            self.scales = [1] * len(forms)
+            ints = [c for F in forms for c in F.coeffs.values()]
+            top = field.char - 1
         else:
-            self.scale = math.lcm(*(c.denominator for c in ints))
-            ints = [c.numerator * (self.scale // c.denominator) for c in ints]
+            self.scales, ints = [], []
+            for F in forms:
+                scale = math.lcm(*(c.denominator for c in F.coeffs.values()))
+                ints += [c.numerator * (scale // c.denominator) for c in F.coeffs.values()]
+                self.scales.append(scale)
             top = max(map(abs, ints))
         # an entry is a coefficient times a divisor of e!
         self.coeffs = np.array(ints, dtype=_int_dtype(top * math.factorial(e)))
 
 
-_latest = None  # the _Terms of the latest form given to catalecticant
+def _assemble(terms: _Terms, i: int):
+    """Every entry of the i-th catalecticants of the forms of terms, form by
+    form: its form's index, the colex keys of its row and column, prefixed
+    by that index when there are several forms, and its value, as parallel
+    arrays."""
+    e, t = terms.degree, len(terms.coeffs)
+    first = terms.first
+    # choose the operator's positions one at a time, ascending: a position
+    # follows the previous one directly or starts a new variable, and
+    # leaves room for the positions still to choose
+    if i:
+        term, q = first[: t * e].reshape(t, e)[:, : e - i + 1].nonzero()
+        picks = [q]
+    else:
+        term, picks = np.arange(t), []
+    for j in range(1, i):
+        steps = np.arange(1, e)
+        cand = picks[-1][:, None] + steps
+        ok = (cand <= e - i + j) & (first[(term * e)[:, None] + cand] | (steps == 1))
+        s, d = ok.nonzero()
+        term = term[s]
+        picks = [q[s] for q in picks] + [cand[s, d]]
+    base = term * e
+    values = terms.coeffs[term]
+    for q in picks:
+        values = values * terms.left[base + q]
+    if terms.field.char:
+        values %= terms.field.char
+
+    # colex keys: a row sums B[u, j] over the chosen positions, the j-th
+    # one with j, and a column sums B[u, r] over the others, r the rank of
+    # the position among them; index holds u*(e+1) + j or r
+    at = np.arange(len(term))
+    slots = np.arange(e)
+    index = terms.digits[term]
+    index += slots + 1
+    for q in picks:
+        index -= slots >= q[:, None]  # r = q + 1 - (chosen positions <= q)
+    for j, q in enumerate(picks, 1):
+        index[at, q] += 2 * j - 1 - q  # the j-th chosen one: q + 1 - j -> j
+    part = _colex_table(terms.nvars, e).ravel()[index]
+    del index
+    rows = np.zeros(len(term), part.dtype)
+    for q in picks:
+        rows += part[at, q]
+    cols = np.add.reduce(part, axis=1) - rows
+    del part
+    owner = terms.owner[term]
+    count = len(terms.scales)
+    if count > 1:
+        # prefix a key by its form's index: owner * (number of keys) + key
+        rows, cols = (
+            owner.astype(_int_dtype(count * size)) * size + keys
+            for keys, size in (
+                (rows, _monomial_count(terms.nvars, i)),
+                (cols, _monomial_count(terms.nvars, e - i)),
+            )
+        )
+    return owner, rows, cols, values
 
 
-def _terms(F: Form) -> _Terms:
-    """F's _Terms, shared by consecutive catalecticants of F.  The form is
-    matched by identity, which is sound because forms are never mutated."""
-    global _latest
-    if _latest is None or _latest.form is not F:
-        _latest = _Terms(F)
-    return _latest
+def _ranks(field, owner, rows, cols, values, count: int) -> list[int]:
+    """Exact ranks of `count` matrices given by their entries as parallel
+    arrays, matrix by matrix: the index of the matrix, row and column keys
+    that no two matrices share and whose order puts the matrices in order,
+    and the value.  Peels as the module docstring says, then ranks what is
+    left of each matrix with linalg.matrix_rank."""
+    ids, sizes, owners = [], [], []  # per axis: each entry's line, each line's matrix
+    for keys in (rows, cols):
+        line, size = _compact(keys)
+        at = np.empty(size, np.intp)
+        at[line] = owner
+        ids.append(line)
+        sizes.append(size)
+        owners.append(at)
+    ranks = np.zeros(count, np.intp)
+    live = np.arange(len(values))
+    # axis 0: a column with one entry peels its row; axis 1: a row with one
+    # entry peels its column; stop once a step on each axis peels nothing
+    axis = idle = 0
+    while idle < 2 and len(live):
+        line, cross = ids[axis], ids[1 - axis]
+        single = np.bincount(cross, minlength=sizes[1 - axis]) == 1
+        if single.any():
+            out = np.zeros(sizes[axis], bool)
+            out[line[single[cross]]] = True
+            ranks += np.bincount(owners[axis][out], minlength=count)
+            keep = ~out[line]
+            ids = [ids[0][keep], ids[1][keep]]
+            live = live[keep]
+            idle = 0
+        else:
+            idle += 1
+        axis = 1 - axis
+    ranks = ranks.tolist()
+    if not len(live):
+        return ranks
+    start = 0
+    for f, end in enumerate(np.searchsorted(owner[live], np.arange(1, count + 1)).tolist()):
+        if end > start:
+            r, m = _compact(ids[0][start:end])
+            c, k = _compact(ids[1][start:end])
+            A = np.zeros((m, k), values.dtype)
+            A[r, c] = values[live[start:end]]
+            if m > k:
+                A = A.T
+            ranks[f] += linalg.matrix_rank(A.tolist(), field)
+        start = end
+    return ranks
 
 
 class _Entries(Mapping):
@@ -245,32 +393,9 @@ class CatalecticantMatrix:
         return out
 
     def rank(self) -> int:
-        """Exact rank; prunes as the module docstring says, then ranks what
-        is left with linalg.matrix_rank."""
-        order = self._cols.argsort(kind="stable")
-        cols = self._cols[order]
-        m = len(cols)
-        # edge[k]: entry k, in column order, starts a column; edge[m] ends the last
-        edge = np.empty(m + 1, bool)
-        edge[0] = edge[m] = True
-        np.not_equal(cols[1:], cols[:-1], out=edge[1:m])
-        rows = self._rows[order]
-        row_id, nrows = _compact(rows)
-        # a row holding the only entry of some column is outside the span of
-        # the other rows, which all vanish there, so it adds one to the rank
-        independent = np.zeros(nrows, bool)
-        independent[row_id[edge[:m] & edge[1:]]] = True
-        keep = ~independent[row_id]
-        peeled = int(np.count_nonzero(independent))
-        if not keep.any():
-            return peeled
-        row_id, nrows = _compact(rows[keep])
-        col_id, ncols = _compact(cols[keep])
-        A = np.zeros((nrows, ncols), self._values.dtype)
-        A[row_id, col_id] = self._values[order][keep]
-        if A.shape[0] > A.shape[1]:
-            A = A.T
-        return peeled + linalg.matrix_rank(A.tolist(), self.field)
+        """Exact rank, by the peeling of the module docstring."""
+        owner = np.zeros(len(self._values), np.intp)
+        return _ranks(self.field, owner, self._rows, self._cols, self._values, 1)[0]
 
     def __repr__(self):
         return (
@@ -309,72 +434,57 @@ def catalecticant(F: Form, i: int) -> CatalecticantMatrix:
         raise ValueError(
             f"catalecticant degree {i} out of range for a degree-{F.degree} form"
         )
-    field = F.field
-    if 0 < field.char <= F.degree:
-        # differentiation multiplies by factorials up to deg F, which
-        # vanish mod such a characteristic and would silently drop terms
-        raise ValueError(
-            f"characteristic {field.char} does not exceed the degree {F.degree}"
-        )
-    n, e, t = F.nvars, F.degree, len(F.coeffs)
-    terms = _terms(F)
-    first = terms.first
-    # choose the operator's positions one at a time, ascending: a position
-    # follows the previous one directly or starts a new variable, and
-    # leaves room for the positions still to choose
-    if i:
-        term, q = first[: t * e].reshape(t, e)[:, : e - i + 1].nonzero()
-        picks = [q]
-    else:
-        term, picks = np.arange(t), []
-    for j in range(1, i):
-        steps = np.arange(1, e)
-        cand = picks[-1][:, None] + steps
-        ok = (cand <= e - i + j) & (first[(term * e)[:, None] + cand] | (steps == 1))
-        s, d = ok.nonzero()
-        term = term[s]
-        picks = [q[s] for q in picks] + [cand[s, d]]
-    base = term * e
-    values = terms.coeffs[term]
-    for q in picks:
-        values = values * terms.left[base + q]
-    if field.char:
-        values %= field.char
-
-    # colex keys: a row sums B[u, j] over the chosen positions, the j-th
-    # one with j, and a column sums B[u, r] over the others, r the rank of
-    # the position among them; index holds u*(e+1) + j or r
-    at = np.arange(len(term))
-    slots = np.arange(e)
-    index = terms.digits[term]
-    index += slots + 1
-    for q in picks:
-        index -= slots >= q[:, None]  # r = q + 1 - (chosen positions <= q)
-    for j, q in enumerate(picks, 1):
-        index[at, q] += 2 * j - 1 - q  # the j-th chosen one: q + 1 - j -> j
-    part = _colex_table(n, e).ravel()[index]
-    del index
-    rows = np.zeros(len(term), part.dtype)
-    for q in picks:
-        rows += part[at, q]
-    cols = np.add.reduce(part, axis=1) - rows
-    return CatalecticantMatrix(i, e, n, field, rows, cols, values, terms.scale)
+    _check_characteristic(F)
+    terms = _Terms([F])
+    _, rows, cols, values = _assemble(terms, i)
+    return CatalecticantMatrix(
+        i, F.degree, F.nvars, F.field, rows, cols, values, terms.scales[0]
+    )
 
 
-def hilbert_function(F: Form) -> HilbertFunction:
-    """Exact Hilbert function of the apolar algebra of a nonzero form.
+def hilbert_functions(forms) -> list[HilbertFunction]:
+    """Exact Hilbert functions of the apolar algebras of nonzero forms, in
+    order.
 
     h_0 = 1, since Cat_0 is the one row of F's coefficients, which is
     nonzero.  Beyond it only the catalecticants with 1 <= i <= e/2 are
     ranked: the entry of Cat_i at (a, b) is c_{a+b} (a+b)!/b!, that of
     Cat_{e-i} at (b, a) is c_{a+b} (a+b)!/a!, so Cat_{e-i} is the transpose
     of Cat_i scaled by factorials below e + 1, which are invertible in the
-    characteristics catalecticant accepts, and h_{e-i} = h_i."""
-    if F.is_zero:
-        raise ZeroFormError("Hilbert function of the zero form")
-    e = F.degree
-    low = [1] + [catalecticant(F, i).rank() for i in range(1, e // 2 + 1)]
-    return HilbertFunction(low[min(i, e - i)] for i in range(e + 1))
+    characteristics catalecticant accepts, and h_{e-i} = h_i.
+
+    The forms with one field and one degree are ranked together, in list
+    order, in batches of at most _BATCH_TERMS terms (or one form): for each
+    i one assembly and one peel cover a batch, with keys prefixed by the
+    form's index in it."""
+    forms = list(forms)
+    groups = {}  # (field, degree) -> batches: [number of terms, form indices]
+    for k, F in enumerate(forms):
+        if F.is_zero:
+            raise ZeroFormError("Hilbert function of the zero form")
+        _check_characteristic(F)
+        batches = groups.setdefault((F.field, F.degree), [[0, []]])
+        if batches[-1][1] and batches[-1][0] + len(F.coeffs) > _BATCH_TERMS:
+            batches.append([0, []])
+        batches[-1][0] += len(F.coeffs)
+        batches[-1][1].append(k)
+    out = [None] * len(forms)
+    for (field, e), batches in groups.items():
+        for _, ks in batches:
+            low = [[1] * len(ks)]
+            if e >= 2:
+                terms = _Terms([forms[k] for k in ks])
+                for i in range(1, e // 2 + 1):
+                    low.append(_ranks(field, *_assemble(terms, i), len(ks)))
+            for k, h in zip(ks, zip(*low)):
+                out[k] = HilbertFunction(h[min(i, e - i)] for i in range(e + 1))
+    return out
+
+
+def hilbert_function(F: Form) -> HilbertFunction:
+    """Exact Hilbert function of the apolar algebra of a nonzero form; see
+    hilbert_functions."""
+    return hilbert_functions([F])[0]
 
 
 def codimension(F: Form) -> int:

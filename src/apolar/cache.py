@@ -2,7 +2,11 @@
 
 The file is a JSON array of entry dicts.  Loading re-verifies every
 certificate by reparsing the form and recomputing its Hilbert function;
-entries that fail are dropped with a warning rather than trusted.  Storing
+entries that fail are dropped with a warning rather than trusted.  All
+certificates of a file that `hilbert_functions` can rank are ranked in one
+call, and each entry is then judged on its own in file order: a malformed,
+unparsable or wrong-characteristic entry never joins the batch, so it is
+dropped alone, with its warning where it falls.  Storing
 merges new entries in, keeping the smallest bound per (socle degree,
 codimension) pair and preferring the incumbent on ties, and writes
 atomically under an exclusive lock on a sidecar `.lock` file.
@@ -16,6 +20,7 @@ import logging
 import os
 import tempfile
 
+from .apolarity import _check_characteristic, hilbert_functions
 from .errors import CorruptCacheError
 from .search import FBoundEntry
 
@@ -38,14 +43,20 @@ def load_table(path: str) -> list[FBoundEntry]:
         raise CorruptCacheError(f"cache file {path} is not valid JSON: {exc}")
     if not isinstance(data, list):
         raise CorruptCacheError(f"cache file {path} must hold a JSON array")
-    entries = []
-    for pos, item in enumerate(data):
+    parsed = []
+    for item in data:
         try:
-            entry = FBoundEntry.from_dict(item)
+            parsed.append(FBoundEntry.from_dict(item))
         except (KeyError, TypeError, ValueError) as exc:
-            log.warning("dropping malformed cache entry %d in %s: %s", pos, path, exc)
+            parsed.append(exc)
+    forms = [_rankable_certificate(en) for en in parsed]
+    hfs = iter(hilbert_functions(F for F in forms if F is not None))
+    entries = []
+    for pos, (entry, F) in enumerate(zip(parsed, forms)):
+        if not isinstance(entry, FBoundEntry):
+            log.warning("dropping malformed cache entry %d in %s: %s", pos, path, entry)
             continue
-        if not entry.verify():
+        if not (entry.verify() if F is None else entry.verify(next(hfs))):
             log.warning(
                 "dropping cache entry %d in %s: certificate for e=%d r=%d "
                 "failed re-verification",
@@ -54,6 +65,20 @@ def load_table(path: str) -> list[FBoundEntry]:
             continue
         entries.append(entry)
     return entries
+
+
+def _rankable_certificate(entry):
+    """The entry's certificate when `hilbert_functions` can rank it: it
+    parses, is nonzero and has a characteristic that is 0 or exceeds its
+    degree.  Otherwise None, and `entry.verify()` alone finds the fault."""
+    if not isinstance(entry, FBoundEntry):
+        return None
+    try:
+        F = entry.parse_certificate()
+        _check_characteristic(F)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return None if F.is_zero else F
 
 
 def merge_store(path: str, entries) -> list[FBoundEntry]:

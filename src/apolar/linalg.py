@@ -1,10 +1,11 @@
 """Exact rank kernels.
 
 Each step has one job.  Catalecticants are pruned before they get here:
-`apolarity.CatalecticantMatrix.rank` keeps only the rows and columns that
-hold an entry, counts without elimination every row that holds the only
-entry of some column, and hands `matrix_rank` the rest as a list of lists
-of integers with no more rows than columns.  `sparse_rank` materializes
+`apolarity._ranks` keeps only the rows and columns that hold an entry,
+peels without elimination every row that holds the only entry of some
+column and every column that holds the only entry of some row, until
+neither is left, and hands `matrix_rank` the rest as a list of lists of
+integers with no more rows than columns.  `sparse_rank` materializes
 only the rows and columns of its dict that hold an entry; `matrix_rank`
 drops zero rows, eliminates whichever orientation has fewer rows and picks
 the kernel by field; the kernels only eliminate.

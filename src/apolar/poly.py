@@ -19,14 +19,16 @@ optional group that matched nothing marks where the text leaves the
 grammar, and the error names the next character's position.  Errors keep
 the precedence of a tokenize-then-parse reading: one search for a
 character outside the grammar runs before the scan, so an unexpected
-character anywhere beats every other error; syntax errors, zero
-denominators and unknown variables follow in text order, and a
-homogeneity error only once the whole text has parsed.
+character anywhere beats every other error; a number longer than Python
+converts to an integer comes next, found by a second search; syntax
+errors, zero denominators and unknown variables follow in text order, and
+a homogeneity error only once the whole text has parsed.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 
 from .errors import (
@@ -360,6 +362,12 @@ def parse_form(text: str, nvars: int, field) -> Form:
     bad = _UNEXPECTED.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    # int() refuses more than this many digits (0: no limit)
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        long = re.search(r"\d{%d,}" % (limit + 1), text)
+        if long:
+            raise ParseError(f"number of {len(long[0])} digits is too long", long.start())
     end = len(text)
     pos = _skip(text, 0)
     if pos == end:

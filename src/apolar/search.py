@@ -17,7 +17,10 @@ per value, the pairs i < j in lexicographic order, so the chain ends
 exactly at C(r+1,2).  A step whose Hilbert function misses its value ends
 the chain, and every later value no structured form covers is reported as
 a gap.  Neither draws random numbers; only the descent check of
-`gic_verify` draws hyperplanes.
+`gic_verify` draws hyperplanes.  The structured forms of one search, and
+the restricted forms of all descent rows, are ranked in one
+`hilbert_functions` call; the chain is ranked one step at a time, since
+each step is built only when the one before it hit its value.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .apolarity import hilbert_function
+from .apolarity import hilbert_functions
 from .errors import (
     IncompleteTableError,
     RealizationGapError,
@@ -142,7 +145,7 @@ def padded_form(G: Form, extra: int) -> Form:
 def verify_certificate(F: Form, e: int, r: int, a: int) -> bool:
     """Recompute the Hilbert function and check that F has the target
     shape with degree-2 entry a (for e = 3 that entry is h_2 = r)."""
-    return _candidate_h2(F, e, r) == a
+    return _candidate_h2([F], e, r)[0] == a
 
 
 @dataclass
@@ -163,12 +166,15 @@ class FBoundEntry:
     def parse_certificate(self) -> Form:
         return parse_form(self.certificate, self.nvars, parse_field_spec(self.field_spec))
 
-    def verify(self) -> bool:
+    def verify(self, hf=None) -> bool:
         """False for an entry that does not parse, has no h-vector shape
-        (unsupported socle degree) or fails re-verification."""
+        (unsupported socle degree) or fails re-verification.  A caller that
+        has ranked the certificate already passes its Hilbert function."""
         try:
-            F = self.parse_certificate()
-            return verify_certificate(F, self.e, self.r, self.bound)
+            if hf is None:
+                F = self.parse_certificate()
+                return verify_certificate(F, self.e, self.r, self.bound)
+            return _shape_h2(hf, self.e, self.r) == self.bound
         except (ValueError, ZeroDivisionError):
             return False
 
@@ -234,15 +240,20 @@ def _structured_forms(e: int, r: int, fld):
             yield bipartite_monomial_form(m, e, fld, keep=r - m)
 
 
-def _candidate_h2(F: Form, e: int, r: int):
-    """The degree-2 entry when F has the target shape, else None."""
-    if F.is_zero or F.degree != e:
-        return None
-    hf = hilbert_function(F)
+def _shape_h2(hf, e: int, r: int):
+    """The degree-2 entry when hf has the target shape, else None."""
     if len(hf) < 3:
         return None
     a = hf[2]
     return a if tuple(hf) == expected_hf(e, r, a) else None
+
+
+def _candidate_h2(forms, e: int, r: int) -> list:
+    """For each form, its degree-2 entry when it has the target shape, else
+    None; the forms of degree e are ranked in one batch."""
+    ranked = [not F.is_zero and F.degree == e for F in forms]
+    hfs = iter(hilbert_functions(F for F, ok in zip(forms, ranked) if ok))
+    return [_shape_h2(next(hfs), e, r) if ok else None for ok in ranked]
 
 
 def search_min_h2(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> FBoundEntry:
@@ -256,8 +267,8 @@ def search_min_h2(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> FBoundEnt
         raise ValueError(f"codimension {r} < 1")
     known = known_min_h2(e, r)
     best = None  # (bound, number of terms, Form)
-    for F in _structured_forms(e, r, fld):
-        a = _candidate_h2(F, e, r)
+    forms = list(_structured_forms(e, r, fld))
+    for F, a in zip(forms, _candidate_h2(forms, e, r)):
         if a is None:
             continue
         if known is not None and a < known:
@@ -319,14 +330,15 @@ def realize_interval(e: int, r: int, fld=DEFAULT_FIELD) -> dict[int, Form]:
         raise ValueError(f"codimension {r} is outside the certified exact range")
     cap = max_h2(r)
     certs = {}
-    for F in _structured_forms(e, r, fld):
-        certs.setdefault(_candidate_h2(F, e, r), F)
+    forms = list(_structured_forms(e, r, fld))
+    for F, a in zip(forms, _candidate_h2(forms, e, r)):
+        certs.setdefault(a, F)
     chain = power_sum_form(r, e, fld)
     pairs = itertools.combinations(range(r), 2)
     for a, (i, j) in enumerate(pairs, start=r + 1):
         L = LinearForm([int(t in (i, j)) for t in range(r)], fld)
         chain = chain + L.as_form() ** e
-        if _candidate_h2(chain, e, r) != a:
+        if _candidate_h2([chain], e, r)[0] != a:
             break
         certs.setdefault(a, chain)
     certs = {a: certs[a] for a in range(known, cap + 1) if a in certs}
@@ -418,19 +430,22 @@ def gic_verify(e: int, r_lo: int, r_hi: int, table, seed: int = 0) -> GicReport:
                     "upper": nxt["lower"],
                 }
             )
-    descent = []
+    restricted = []  # (r, H, F restricted to H)
     for r in range(max(r_lo, 3), r_hi + 1):
         en = best[r]
         fld = parse_field_spec(en.field_spec)
         F = en.parse_certificate()
         rng = trial_rng(seed, r)
         H = random_linear_form(en.nvars, fld, rng)
-        G = restrict_mod(F, H)
+        restricted.append((r, H, restrict_mod(F, H)))
+    hfs = iter(hilbert_functions(G for _, _, G in restricted if not G.is_zero))
+    descent = []
+    for r, H, G in restricted:
         if G.is_zero:
             descent.append({"r": r, "H": str(H), "restricted_hf": "(0)", "ok": False})
             continue
-        hf = hilbert_function(G)
-        ok = hf[1] == r - 1 and (len(hf) < 3 or hf[2] <= en.bound)
+        hf = next(hfs)
+        ok = hf[1] == r - 1 and (len(hf) < 3 or hf[2] <= best[r].bound)
         descent.append({"r": r, "H": str(H), "restricted_hf": str(hf), "ok": ok})
     return GicReport(
         e=e,

@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import apolar.apolarity
 import span_oracle
+from apolar import linalg
 from apolar import (
     QQ,
     DEFAULT_FIELD,
@@ -19,6 +21,7 @@ from apolar import (
     catalecticant,
     codimension,
     hilbert_function,
+    hilbert_functions,
     monomials_of_degree,
     parse_form,
     power_sum_form,
@@ -156,13 +159,13 @@ def test_half_rank_hilbert_function_matches_span_oracle(p):
 
 def test_hilbert_function_ranks_only_the_lower_half(monkeypatch):
     built = []
-    real = apolar.apolarity.catalecticant
+    real = apolar.apolarity._assemble
 
-    def counting(F, i):
+    def counting(terms, i):
         built.append(i)
-        return real(F, i)
+        return real(terms, i)
 
-    monkeypatch.setattr(apolar.apolarity, "catalecticant", counting)
+    monkeypatch.setattr(apolar.apolarity, "_assemble", counting)
     for e in range(2, 7):
         built.clear()
         hf = hilbert_function(power_sum_form(3, e, QQ))
@@ -347,6 +350,11 @@ def test_keys_beyond_int64_are_python_integers(p):
     assert catalecticant(F, 16).nrows > 2**63
     _check_catalecticants(F, random.Random(0), degrees=(0, 1, 8, 15, 16))
     assert tuple(hilbert_function(F)) == span_oracle.span_hilbert(F.coeffs, 100, 16, p)
+    # a batch of such forms prefixes Python-integer keys
+    G = parse_form("y1^8*y98^8 + 5*y2^16", 100, fld)
+    hf, hg = hilbert_function(F), hilbert_function(G)
+    assert hilbert_functions([F, G, F]) == [hf, hg, hf]
+    assert tuple(hg) == span_oracle.span_hilbert(G.coeffs, 100, 16, p)
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(7)], ids=["q", "p:7"])
@@ -357,3 +365,138 @@ def test_constant_form_without_variables(fld):
     oracle = span_oracle.span_hilbert(F.coeffs, 0, 0, fld.char or None)
     assert tuple(hilbert_function(F)) == (1,) == oracle
     assert codimension(F) == 0
+
+
+# -- the fixed-point peel and batches of forms ----------------------------------
+
+
+def _chain(length, fld, rng):
+    """Entries (row, column, value) of a chain with `length` columns: row k
+    holds columns k-1 and k where they exist, k = 0..length.  Every column
+    holds two entries and only the two end rows hold one, so a column step
+    peels nothing and each row step peels one column at each end: the peel
+    needs about length/2 rounds to empty it."""
+    return [
+        (k, c, _coefficient(fld, rng))
+        for k in range(length + 1)
+        for c in (k - 1, k)
+        if 0 <= c < length
+    ]
+
+
+def _integer(fld, v):
+    """v as the integer the assembly hands to _ranks."""
+    return v.numerator if fld is QQ else v
+
+
+@pytest.mark.parametrize("p", ORACLE_FIELDS, ids=ORACLE_IDS)
+def test_peel_reaches_its_fixed_point_over_several_rounds(p, monkeypatch):
+    fld = QQ if p is None else GF(p)
+    rng = random.Random(f"peel/{p}")
+    # matrix 0: a 7-column chain beside a dense 3x3 block; matrix 1: a
+    # 4-column chain; keys are 100 * matrix + key, entries matrix by matrix
+    dense = [(r, c, _coefficient(fld, rng)) for r in range(8, 11) for c in range(7, 10)]
+    matrices = [_chain(7, fld, rng) + dense, _chain(4, fld, rng)]
+    owner, rows, cols, values = [], [], [], []
+    for f, entries in enumerate(matrices):
+        for r, c, v in entries:
+            owner.append(f)
+            rows.append(100 * f + r)
+            cols.append(100 * f + c)
+            values.append(_integer(fld, v))
+    blocks = []
+    real = linalg.matrix_rank
+
+    def recording(rows, field):
+        blocks.append((len(rows), len(rows[0])))
+        return real(rows, field)
+
+    monkeypatch.setattr(linalg, "matrix_rank", recording)
+    got = apolar.apolarity._ranks(
+        fld,
+        np.array(owner),
+        np.array(rows),
+        np.array(cols),
+        np.array(values, dtype=np.int64 if p != 2**61 - 1 else object),
+        2,
+    )
+    oracle = []
+    for entries in matrices:
+        by_row = {}
+        for r, c, v in entries:
+            by_row.setdefault(r, {})[c] = _integer(fld, v)
+        oracle.append(len(span_oracle.span_basis(list(by_row.values()), p)))
+    assert got == oracle
+    assert oracle[1] == 4 and 7 <= oracle[0] <= 10
+    # both chains peel to nothing; only the dense block is eliminated
+    assert blocks == [(3, 3)]
+
+
+def _mixed_batch(fld, rng):
+    """Forms of degree 3..6 in 1..16 variables, shuffled: sparse forms with a
+    few terms, whose catalecticants mostly peel to nothing; dense forms in
+    2-4 variables, whose middle catalecticants leave a block for
+    linalg.matrix_rank; power sums; and one form twice."""
+    forms = []
+    for e in (3, 4, 5, 6):
+        for n in (1, 2, 5, 9, 16):
+            monos = set()
+            for _ in range(rng.randint(1, 6)):
+                exps = [0] * n
+                for k in rng.choices(range(n), k=e):
+                    exps[k] += 1
+                monos.add(tuple(exps))
+            forms.append(_form(n, sorted(monos), fld, rng))
+        for n in (2, 3, 4):
+            forms.append(_form(n, monomials_of_degree(n, e), fld, rng))
+        forms.append(power_sum_form(rng.randint(1, 16), e, fld))
+    forms.append(forms[rng.randrange(len(forms))])
+    rng.shuffle(forms)
+    return forms
+
+
+@pytest.mark.parametrize("p", ORACLE_FIELDS, ids=ORACLE_IDS)
+def test_hilbert_functions_of_a_mixed_batch(p, monkeypatch):
+    fld = QQ if p is None else GF(p)
+    forms = _mixed_batch(fld, random.Random(f"batch/{p}"))
+    got = hilbert_functions(forms)
+    assert all(type(hf) is HilbertFunction for hf in got)
+    oracle = [span_oracle.span_hilbert(F.coeffs, F.nvars, F.degree, p) for F in forms]
+    assert [tuple(hf) for hf in got] == oracle
+    # one form at a time gives the same, and the batch holds forms with and
+    # without a block left for linalg.matrix_rank
+    blocks = []
+    real = linalg.matrix_rank
+    monkeypatch.setattr(
+        linalg, "matrix_rank", lambda rows, field: blocks.append(1) or real(rows, field)
+    )
+    left = []
+    for F, hf in zip(forms, got):
+        before = len(blocks)
+        assert hilbert_function(F) == hf
+        left.append(len(blocks) > before)
+    assert any(left) and not all(left)
+
+
+def test_hilbert_functions_across_fields_and_sizes():
+    # one list over all four fields and degrees 0..6; a batch holds at most
+    # _BATCH_TERMS terms, so the dense forms here split their group
+    rng = random.Random("batch/fields")
+    forms = []
+    for p in ORACLE_FIELDS:
+        fld = QQ if p is None else GF(p)
+        forms += _mixed_batch(fld, rng)
+        forms += [_form(n, monomials_of_degree(n, 6), fld, rng) for n in (8, 9)]
+        forms += [parse_form("3", 0, fld), parse_form("2*y0 - y1", 2, fld)]
+    rng.shuffle(forms)
+    assert sum(len(F.coeffs) for F in forms) > 4 * apolar.apolarity._BATCH_TERMS
+    assert hilbert_functions(forms) == [hilbert_function(F) for F in forms]
+    assert hilbert_functions([]) == []
+
+
+def test_hilbert_functions_refuse_as_one_form_does():
+    F = power_sum_form(3, 4, QQ)
+    with pytest.raises(ZeroFormError):
+        hilbert_functions([F, Form.zero(3, QQ)])
+    with pytest.raises(ValueError, match="characteristic 3 does not exceed the degree 4"):
+        hilbert_functions([F, power_sum_form(2, 4, GF(3))])

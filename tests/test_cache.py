@@ -8,10 +8,15 @@ import time
 import pytest
 
 import apolar
+import apolar.cache
 from apolar import (
     DEFAULT_FIELD,
+    GF,
+    QQ,
     CorruptCacheError,
     FBoundEntry,
+    hilbert_function,
+    hilbert_functions,
     load_table,
     merge_store,
     power_sum_form,
@@ -117,6 +122,93 @@ def test_unsupported_socle_degree_dropped_with_warning(tmp_path, caplog):
     assert any("re-verification" in rec.message for rec in caplog.records)
     merged = merge_store(str(path), [_entry(4, 4)])
     assert [(en.e, en.r) for en in merged] == [(4, 4), (4, 5)]
+
+
+def _mixed_table():
+    """Cache items that load_table keeps or drops for every reason, over
+    the default prime, q and p:7, socle degrees 3 to 6."""
+    good4 = _entry(4, 5).to_dict()
+    good5q = search_min_h2(5, 4, fld=QQ).to_dict()
+    good4p7 = search_min_h2(4, 6, fld=GF(7)).to_dict()
+    cubic = FBoundEntry.from_form(power_sum_form(4, 3), 3, 4, 4, seed=0).to_dict()
+    return [
+        good4,
+        {"e": 4},  # malformed: no r
+        dict(good4, bound=good4["bound"] - 1),  # fails re-verification
+        good5q,
+        dict(cubic, bound=2),  # e = 3 below its codimension
+        cubic,
+        17,  # malformed: not a dict
+        dict(good4, e=6, r=2, bound=2, certificate="y0^6 + y1^6", nvars=2),  # e = 6
+        good4p7,
+        dict(good4, certificate="y0^4 + @"),  # unparsable
+        dict(good4p7, certificate="y0^7 + y1^7"),  # 7 does not exceed degree 7
+        dict(good4, r="x"),  # malformed: r is no integer
+        dict(good4, certificate="y0^3 + y1^3"),  # degree 3 under e = 4
+        dict(good4, certificate="0"),  # the zero form
+        dict(good5q, field="p:abc"),  # bad field spec
+        dict(good5q, e=4),  # right form, wrong socle degree
+        good4,  # the same certificate twice
+        dict(good4p7, field="q"),  # the p:7 certificate read over q
+    ]
+
+
+def test_batched_load_keeps_and_warns_as_one_entry_at_a_time(tmp_path, caplog):
+    # the reference is load_table's rule written entry by entry: parse the
+    # item, then verify() it alone, warning in file order
+    items = _mixed_table()
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(items))
+    kept, warnings = [], []
+    for pos, item in enumerate(items):
+        try:
+            entry = FBoundEntry.from_dict(item)
+        except (KeyError, TypeError, ValueError) as exc:
+            warnings.append(f"dropping malformed cache entry {pos} in {path}: {exc}")
+            continue
+        if entry.verify():
+            kept.append(entry.to_dict())
+        else:
+            warnings.append(
+                f"dropping cache entry {pos} in {path}: certificate for "
+                f"e={entry.e} r={entry.r} failed re-verification"
+            )
+    assert [(d["e"], d["r"], d["field"]) for d in kept] == [
+        (4, 5, "p:2147483647"), (5, 4, "q"), (3, 4, "p:2147483647"),
+        (4, 6, "p:7"), (4, 5, "p:2147483647"), (4, 6, "q"),
+    ]
+    calls, batches = [], []
+    verify = FBoundEntry.verify
+
+    def counted(*args):  # positional only, as perfbench/tracer.py wraps it
+        calls.append(args)
+        return verify(*args)
+
+    def batch(forms):
+        forms = list(forms)
+        batches.append(len(forms))
+        return hilbert_functions(forms)
+
+    caplog.set_level("WARNING", logger="apolar.cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FBoundEntry, "verify", counted)
+        mp.setattr(apolar.cache, "hilbert_functions", batch)
+        loaded = load_table(str(path))
+    assert [en.to_dict() for en in loaded] == kept
+    assert [rec.getMessage() for rec in caplog.records] == warnings
+    # one verify call per entry that from_dict accepts, in file order; the
+    # certificates that parse to a nonzero form in a characteristic above
+    # its degree are ranked in one batch, and verify gets their Hilbert
+    # function (the unsupported e = 6 one too, the degree-3 one under e = 4
+    # and the degree-5 one under e = 4)
+    entries = [FBoundEntry.from_dict(it) for it in items
+               if isinstance(it, dict) and "r" in it and it["r"] != "x"]
+    assert [args[0].to_dict() for args in calls] == [en.to_dict() for en in entries]
+    given = [args[1] for args in calls if len(args) > 1]
+    assert batches == [len(given)] and len(given) == len(entries) - 4
+    for args in calls:
+        if len(args) > 1:
+            assert args[1] == hilbert_function(args[0].parse_certificate())
 
 
 def test_structurally_broken_files_raise(tmp_path):

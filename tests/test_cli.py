@@ -64,6 +64,13 @@ def test_hf_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
+def test_hf_number_beyond_the_integer_string_limit_exits_2(capsys):
+    code, out, err = _run(capsys, ["hf", "--form", "1" * 5000 + "*y0^4", "--vars", "1"])
+    assert code == 2
+    assert out == ""
+    assert "number of 5000 digits is too long (at position 0)" in err
+
+
 def test_hf_refuses_characteristic_not_above_degree(capsys):
     # mod 7 the factorials of a degree-7 form vanish; q gives (1,2,2,2,2,2,2,1)
     argv = ["hf", "--form", "y0^7+y1^7", "--vars", "2"]

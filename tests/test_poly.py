@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,40 @@ def test_parse_error_messages_and_positions(text, nvars, fld, kind, message, pos
     assert type(info.value) is kind
     assert str(info.value) == f"{message} (at position {pos})"
     assert info.value.pos == pos
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("1" * 5000 + "*y0", 0),  # coefficient
+        ("y0 + 3/" + "2" * 5000 + "*y0", 7),  # denominator
+        ("y" + "0" * 4400 + "^2", 1),  # index, even one of zeros
+        ("y0^" + "1" * 4301, 3),  # exponent
+        ("y9 + " + "1" * 5000 + "*y0", 5),  # beats the unknown y9 before it
+    ],
+    ids=["coefficient", "denominator", "index", "exponent", "precedence"],
+)
+def test_parse_numbers_beyond_the_integer_string_limit(text, pos):
+    # Python converts at most sys.get_int_max_str_digits() digits (4300 by
+    # default); a longer number is a positioned ParseError, not ValueError,
+    # found before the scan like an unexpected character
+    digits = len(re.match(r"\d+", text[pos:])[0])
+    assert digits > sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as info:
+        parse_form(text, 1, QQ)
+    assert type(info.value) is ParseError
+    assert str(info.value) == f"number of {digits} digits is too long (at position {pos})"
+    assert info.value.pos == pos
+
+
+def test_parse_long_numbers_when_python_sets_no_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        F = parse_form("1" * 5000 + "*y0^2", 1, QQ)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert F.coeffs == {(2,): int("1" * 4000) * 10**1000 + int("1" * 1000)}
 
 
 def test_parse_homogeneity_error_names_the_term():

@@ -22,6 +22,7 @@ from apolar import (
     codimension,
     gic_verify,
     hilbert_function,
+    hilbert_functions,
     known_min_h2,
     max_h2,
     padded_form,
@@ -190,11 +191,12 @@ def test_realize_interval_small():
 def test_realize_interval_ranks_each_form_once(monkeypatch):
     seen = []
 
-    def counting(F):
-        seen.append((F.nvars, str(F)))
-        return hilbert_function(F)
+    def counting(forms):
+        forms = list(forms)
+        seen.extend((F.nvars, str(F)) for F in forms)
+        return hilbert_functions(forms)
 
-    monkeypatch.setattr(apolar.search, "hilbert_function", counting)
+    monkeypatch.setattr(apolar.search, "hilbert_functions", counting)
     certs = realize_interval(4, 8)
     assert sorted(certs) == list(range(8, max_h2(8) + 1))
     assert len(seen) == len(set(seen))
