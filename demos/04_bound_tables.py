@@ -28,7 +28,7 @@ from apolar import (
 # Exact regime: the search recovers each known value and flags it exact.
 print("socle degree 4, known range:")
 for r in (3, 8, 12, 13):
-    en = search_min_h2(4, r, seed=0)
+    en = search_min_h2(4, r)
     print(f"  r={r:>2}  bound={en.bound:>2}  exact={en.exact}  "
           f"certificate in {en.nvars} variables")
 
@@ -37,12 +37,12 @@ for r in (3, 8, 12, 13):
 # asymptotic growth rate is printed as an annotation, never as a bound.
 print("\nsocle degree 4, open range:")
 for r in (14, 16, 18, 20):
-    en = search_min_h2(4, r, seed=0)
+    en = search_min_h2(4, r)
     print(f"  r={r:>2}  bound<={en.bound:>2}  reference {asymptotic_reference(4, r):.1f}")
 
 # Socle degree 5: the first drop below r is only reachable at r = 17,
 # via a truncated variant of the bipartite construction.
-en = search_min_h2(5, 17, seed=0)
+en = search_min_h2(5, 17)
 F = en.parse_certificate()
 print(f"\nsocle degree 5, r=17: bound<={en.bound}, HF {hilbert_function(F)}")
 
@@ -63,7 +63,7 @@ for e, r, a in [(4, 13, 12), (4, 13, 11), (3, 7, 7), (4, 14, 13), (4, 14, 10)]:
 # r, and that every certificate survives a random hyperplane cut.
 with tempfile.TemporaryDirectory() as tmp:
     path = str(Path(tmp) / "bounds.json")
-    merge_store(path, [search_min_h2(4, r, seed=0) for r in range(3, 14)])
+    merge_store(path, [search_min_h2(4, r) for r in range(3, 14)])
     table = load_table(path)
     report = gic_verify(4, 3, 13, table, seed=0)
     print(f"\ninterval check over r=3..13: nondecreasing={report.nondecreasing}, "

@@ -1,15 +1,13 @@
 """On-disk table of verified degree-2 bound certificates.
 
-The file is a JSON array of entry dicts.  Loading re-verifies every
-certificate by reparsing the form and recomputing its Hilbert function;
-entries that fail are dropped with a warning rather than trusted.  All
-certificates of a file that `hilbert_functions` can rank are ranked in one
-call, and each entry is then judged on its own in file order: a malformed,
-unparsable or wrong-characteristic entry never joins the batch, so it is
-dropped alone, with its warning where it falls.  Storing
-merges new entries in, keeping the smallest bound per (socle degree,
-codimension) pair and preferring the incumbent on ties, and writes
-atomically under an exclusive lock on a sidecar `.lock` file.
+The file is a JSON array of entry dicts, of which `FBoundEntry.from_dict`
+reads `e`, `r`, `bound`, `certificate`, `nvars`, `field` and `timestamp`;
+`exact` is written for readers of the file and derived again on loading.
+Loading re-verifies every certificate, all of a file ranked in one batch,
+and drops with a warning, in file order, each entry that is malformed or
+fails.  Storing merges new entries in, keeping the smallest bound per
+(socle degree, codimension) pair and preferring the incumbent on ties, and
+writes atomically under an exclusive lock on a sidecar `.lock` file.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import logging
 import os
 import tempfile
 
-from .apolarity import _check_characteristic, hilbert_functions
 from .errors import CorruptCacheError
 from .search import FBoundEntry
 
@@ -49,14 +46,15 @@ def load_table(path: str) -> list[FBoundEntry]:
             parsed.append(FBoundEntry.from_dict(item))
         except (KeyError, TypeError, ValueError) as exc:
             parsed.append(exc)
-    forms = [_rankable_certificate(en) for en in parsed]
-    hfs = iter(hilbert_functions(F for F in forms if F is not None))
+    h2s = iter(FBoundEntry.certificate_h2s(
+        en for en in parsed if isinstance(en, FBoundEntry)
+    ))
     entries = []
-    for pos, (entry, F) in enumerate(zip(parsed, forms)):
+    for pos, entry in enumerate(parsed):
         if not isinstance(entry, FBoundEntry):
             log.warning("dropping malformed cache entry %d in %s: %s", pos, path, entry)
             continue
-        if not (entry.verify() if F is None else entry.verify(next(hfs))):
+        if not entry.verify(next(h2s)):
             log.warning(
                 "dropping cache entry %d in %s: certificate for e=%d r=%d "
                 "failed re-verification",
@@ -65,20 +63,6 @@ def load_table(path: str) -> list[FBoundEntry]:
             continue
         entries.append(entry)
     return entries
-
-
-def _rankable_certificate(entry):
-    """The entry's certificate when `hilbert_functions` can rank it: it
-    parses, is nonzero and has a characteristic that is 0 or exceeds its
-    degree.  Otherwise None, and `entry.verify()` alone finds the fault."""
-    if not isinstance(entry, FBoundEntry):
-        return None
-    try:
-        F = entry.parse_certificate()
-        _check_characteristic(F)
-    except (ValueError, ZeroDivisionError):
-        return None
-    return None if F.is_zero else F
 
 
 def merge_store(path: str, entries) -> list[FBoundEntry]:

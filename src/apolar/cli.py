@@ -161,7 +161,7 @@ def _field_note(fld) -> str:
 
 
 def _cmd_search_f(args, fld):
-    entry = search_min_h2(args.e, args.r, seed=args.seed, fld=fld)
+    entry = search_min_h2(args.e, args.r, fld=fld)
     merge_store(_cache_path(args), [entry])
     body = entry.to_dict(with_timestamp=False)
     body["asymptotic_reference"] = asymptotic_reference(args.e, args.r)
@@ -190,7 +190,7 @@ def _cmd_realize(args, fld):
     }
     if certs:
         a0 = min(certs)
-        entry = FBoundEntry.from_form(certs[a0], args.e, args.r, a0, args.seed)
+        entry = FBoundEntry.from_form(certs[a0], args.e, args.r, a0)
         merge_store(_cache_path(args), [entry])
     return body, bool(gaps)
 
@@ -205,7 +205,7 @@ def _cmd_gic(args, fld):
     table = load_table(path)
     have = {en.r for en in table if en.e == args.e}
     fresh = [
-        search_min_h2(args.e, r, seed=args.seed, fld=fld)
+        search_min_h2(args.e, r, fld=fld)
         for r in range(args.rmin, args.rmax + 1)
         if r not in have
     ]

@@ -5,8 +5,8 @@ interval realization, and monotonicity reports.
 Every bound or interval certificate is a concrete form whose Hilbert
 function is recomputed by exact rank before it is trusted; entries record
 the field that produced them.  Known exact values of the least degree-2
-entry (codimension <= 13 in socle degree 4, <= 16 in socle degree 5) gate
-the `exact` flag and the classification of h-vectors.
+entry (codimension <= 13 in socle degree 4, <= 16 in socle degree 5) decide
+whether an entry is exact (derived, never stored) and classify h-vectors.
 
 Bound search and interval realization share one candidate portfolio, the
 deterministic structured forms: the power sum and the padded or truncated
@@ -17,10 +17,11 @@ per value, the pairs i < j in lexicographic order, so the chain ends
 exactly at C(r+1,2).  A step whose Hilbert function misses its value ends
 the chain, and every later value no structured form covers is reported as
 a gap.  Neither draws random numbers; only the descent check of
-`gic_verify` draws hyperplanes.  The structured forms of one search, and
-the restricted forms of all descent rows, are ranked in one
-`hilbert_functions` call; the chain is ranked one step at a time, since
-each step is built only when the one before it hit its value.
+`gic_verify` draws hyperplanes.  The structured forms of one search, the
+certificates of one bound table and the restricted forms of all descent
+rows are each ranked in one `hilbert_functions` call; the chain is ranked
+one step at a time, since each step is built only when the one before it
+hit its value.
 """
 
 from __future__ import annotations
@@ -145,38 +146,58 @@ def padded_form(G: Form, extra: int) -> Form:
 def verify_certificate(F: Form, e: int, r: int, a: int) -> bool:
     """Recompute the Hilbert function and check that F has the target
     shape with degree-2 entry a (for e = 3 that entry is h_2 = r)."""
-    return _candidate_h2([F], e, r)[0] == a
+    return _candidate_h2([(F, e, r)])[0] == a
+
+
+_UNRANKED = object()
 
 
 @dataclass
 class FBoundEntry:
     """A verified upper bound: a form of codimension r and socle degree e
-    whose degree-2 entry equals `bound`."""
+    whose degree-2 entry equals `bound`.  `exact` is derived, not held."""
 
     e: int
     r: int
     bound: int
-    exact: bool
     certificate: str
     nvars: int
     field_spec: str
-    seed: int
     timestamp: str | None = None
+
+    @property
+    def exact(self) -> bool:
+        """Whether `bound` is the known minimum of h_2 at (e, r); False
+        where no minimum is known or (e, r) is not a supported pair."""
+        try:
+            return known_min_h2(self.e, self.r) == self.bound
+        except ValueError:
+            return False
 
     def parse_certificate(self) -> Form:
         return parse_form(self.certificate, self.nvars, parse_field_spec(self.field_spec))
 
-    def verify(self, hf=None) -> bool:
-        """False for an entry that does not parse, has no h-vector shape
-        (unsupported socle degree) or fails re-verification.  A caller that
-        has ranked the certificate already passes its Hilbert function."""
-        try:
-            if hf is None:
-                F = self.parse_certificate()
-                return verify_certificate(F, self.e, self.r, self.bound)
-            return _shape_h2(hf, self.e, self.r) == self.bound
-        except (ValueError, ZeroDivisionError):
-            return False
+    @staticmethod
+    def certificate_h2s(entries) -> list:
+        """For each entry, the degree-2 entry of its certificate when the
+        certificate parses and has the entry's target shape, else None;
+        the certificates are ranked in one batch."""
+        items = []
+        for en in entries:
+            try:
+                F = en.parse_certificate()
+            except (ValueError, ZeroDivisionError):
+                F = None
+            items.append((F, en.e, en.r))
+        return _candidate_h2(items)
+
+    def verify(self, h2=_UNRANKED) -> bool:
+        """Whether the certificate parses and has the target shape with
+        degree-2 entry `bound`.  A caller that has ranked the certificate
+        with `certificate_h2s` passes the value it gave."""
+        if h2 is _UNRANKED:
+            h2 = self.certificate_h2s([self])[0]
+        return h2 == self.bound
 
     def to_dict(self, with_timestamp: bool = True) -> dict:
         out = {
@@ -187,40 +208,37 @@ class FBoundEntry:
             "certificate": self.certificate,
             "nvars": self.nvars,
             "field": self.field_spec,
-            "seed": self.seed,
         }
         if with_timestamp:
             out["timestamp"] = self.timestamp
         return out
 
     @classmethod
-    def from_form(cls, F: Form, e: int, r: int, bound: int, seed: int) -> "FBoundEntry":
-        """A timestamped entry certified by F; exact when the bound meets
-        the known minimum."""
-        known = known_min_h2(e, r)
+    def from_form(cls, F: Form, e: int, r: int, bound: int) -> "FBoundEntry":
+        """A timestamped entry certified by F."""
         return cls(
             e=e,
             r=r,
             bound=bound,
-            exact=known is not None and bound == known,
             certificate=str(F),
             nvars=F.nvars,
             field_spec=F.field.spec,
-            seed=seed,
             timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
 
     @classmethod
     def from_dict(cls, d: dict) -> "FBoundEntry":
+        """The entry a cache item holds; `e`, `r`, `bound` and `nvars` must
+        be JSON integers, and other keys (`exact`, an old `seed`) are not
+        read."""
+        ints = {key: d[key] for key in ("e", "r", "bound", "nvars")}
+        for key, value in ints.items():
+            if type(value) is not int:
+                raise TypeError(f"{key} is {value!r}, not an integer")
         return cls(
-            e=int(d["e"]),
-            r=int(d["r"]),
-            bound=int(d["bound"]),
-            exact=bool(d["exact"]),
+            **ints,
             certificate=str(d["certificate"]),
-            nvars=int(d["nvars"]),
             field_spec=str(d["field"]),
-            seed=int(d["seed"]),
             timestamp=d.get("timestamp"),
         )
 
@@ -242,25 +260,32 @@ def _structured_forms(e: int, r: int, fld):
 
 def _shape_h2(hf, e: int, r: int):
     """The degree-2 entry when hf has the target shape, else None."""
-    if len(hf) < 3:
-        return None
     a = hf[2]
     return a if tuple(hf) == expected_hf(e, r, a) else None
 
 
-def _candidate_h2(forms, e: int, r: int) -> list:
-    """For each form, its degree-2 entry when it has the target shape, else
-    None; the forms of degree e are ranked in one batch."""
-    ranked = [not F.is_zero and F.degree == e for F in forms]
-    hfs = iter(hilbert_functions(F for F, ok in zip(forms, ranked) if ok))
-    return [_shape_h2(next(hfs), e, r) if ok else None for ok in ranked]
+def _candidate_h2(items) -> list:
+    """For each (form, e, r) item, the form's degree-2 entry when it has
+    the target shape, else None.  The one rule for what is ranked, all in
+    one batch: a form (not None) that is nonzero and of degree e, for a
+    supported socle degree e, which every field's characteristic exceeds."""
+    items = list(items)
+    ranked = [
+        F is not None and not F.is_zero and F.degree == e and e in (3, 4, 5)
+        for F, e, _ in items
+    ]
+    hfs = iter(hilbert_functions(F for (F, _, _), ok in zip(items, ranked) if ok))
+    return [
+        _shape_h2(next(hfs), e, r) if ok else None
+        for (_, e, r), ok in zip(items, ranked)
+    ]
 
 
-def search_min_h2(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> FBoundEntry:
+def search_min_h2(e: int, r: int, fld=DEFAULT_FIELD) -> FBoundEntry:
     """Smallest verified degree-2 entry among the structured forms of
     `_structured_forms`: the power sum and the padded or truncated
     bipartite forms.  Ties prefer fewer terms, then the form seen first.
-    Nothing is drawn at random; `seed` is only recorded in the entry."""
+    Nothing is drawn at random."""
     if e not in (4, 5):
         raise ValueError(f"unsupported socle degree {e}")
     if r < 1:
@@ -268,7 +293,7 @@ def search_min_h2(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> FBoundEnt
     known = known_min_h2(e, r)
     best = None  # (bound, number of terms, Form)
     forms = list(_structured_forms(e, r, fld))
-    for F, a in zip(forms, _candidate_h2(forms, e, r)):
+    for F, a in zip(forms, _candidate_h2((F, e, r) for F in forms)):
         if a is None:
             continue
         if known is not None and a < known:
@@ -281,7 +306,7 @@ def search_min_h2(e: int, r: int, seed: int = 0, fld=DEFAULT_FIELD) -> FBoundEnt
         if best is None or (a, len(F.coeffs)) < best[:2]:
             best = (a, len(F.coeffs), F)
     bound, _, F = best
-    return FBoundEntry.from_form(F, e, r, bound, seed)
+    return FBoundEntry.from_form(F, e, r, bound)
 
 
 def classify_h_vector(e: int, r: int, a: int, table=()) -> str:
@@ -331,14 +356,14 @@ def realize_interval(e: int, r: int, fld=DEFAULT_FIELD) -> dict[int, Form]:
     cap = max_h2(r)
     certs = {}
     forms = list(_structured_forms(e, r, fld))
-    for F, a in zip(forms, _candidate_h2(forms, e, r)):
+    for F, a in zip(forms, _candidate_h2((F, e, r) for F in forms)):
         certs.setdefault(a, F)
     chain = power_sum_form(r, e, fld)
     pairs = itertools.combinations(range(r), 2)
     for a, (i, j) in enumerate(pairs, start=r + 1):
         L = LinearForm([int(t in (i, j)) for t in range(r)], fld)
         chain = chain + L.as_form() ** e
-        if _candidate_h2([chain], e, r)[0] != a:
+        if _candidate_h2([(chain, e, r)])[0] != a:
             break
         certs.setdefault(a, chain)
     certs = {a: certs[a] for a in range(known, cap + 1) if a in certs}
@@ -418,18 +443,6 @@ def gic_verify(e: int, r_lo: int, r_hi: int, table, seed: int = 0) -> GicReport:
                         "upper": later["upper"],
                     }
                 )
-    exact_rows = [row for row in rows if row["lower"] is not None]
-    for prev, nxt in zip(exact_rows, exact_rows[1:]):
-        if nxt["lower"] < prev["lower"]:
-            violations.append(
-                {
-                    "kind": "exact-decrease",
-                    "r_low": prev["r"],
-                    "r_high": nxt["r"],
-                    "lower": prev["lower"],
-                    "upper": nxt["lower"],
-                }
-            )
     restricted = []  # (r, H, F restricted to H)
     for r in range(max(r_lo, 3), r_hi + 1):
         en = best[r]

@@ -167,7 +167,7 @@ def test_criterion_08_interval_realization():
 def test_criterion_09_gic_tables_and_upper_bounds():
     t0 = time.monotonic()
     problems = []
-    table4 = [search_min_h2(4, r, seed=0) for r in range(3, 14)]
+    table4 = [search_min_h2(4, r) for r in range(3, 14)]
     rep4 = gic_verify(4, 3, 13, table4, seed=0)
     if not rep4.nondecreasing:
         problems.append(("gic4", rep4.violations))
@@ -175,7 +175,7 @@ def test_criterion_09_gic_tables_and_upper_bounds():
         problems.append(("gic4 upper != lower", rep4.rows))
     if not all(d["ok"] for d in rep4.descent):
         problems.append(("gic4 descent", rep4.descent))
-    table5 = [search_min_h2(5, r, seed=0) for r in range(3, 17)]
+    table5 = [search_min_h2(5, r) for r in range(3, 17)]
     rep5 = gic_verify(5, 3, 16, table5, seed=0)
     if not rep5.nondecreasing:
         problems.append(("gic5", rep5.violations))
@@ -185,7 +185,7 @@ def test_criterion_09_gic_tables_and_upper_bounds():
         problems.append(("gic5 descent", rep5.descent))
     high = {}
     for r in range(14, 21):
-        en = search_min_h2(4, r, seed=0)
+        en = search_min_h2(4, r)
         high[r] = en.bound
         if en.bound > r - 1 or not en.verify():
             problems.append((f"f4({r})", en.bound))

@@ -1,3 +1,4 @@
+import dataclasses
 import fcntl
 import json
 import os
@@ -8,7 +9,7 @@ import time
 import pytest
 
 import apolar
-import apolar.cache
+import apolar.search
 from apolar import (
     DEFAULT_FIELD,
     GF,
@@ -24,8 +25,8 @@ from apolar import (
 )
 
 
-def _entry(e=4, r=5, seed=0):
-    return search_min_h2(e, r, seed=seed)
+def _entry(e=4, r=5):
+    return search_min_h2(e, r)
 
 
 def test_round_trip_identity(tmp_path):
@@ -55,26 +56,23 @@ def test_min_merge_keeps_smaller_bound(tmp_path):
     assert good.bound == 12
     merge_store(path, [good])
     # a 13 never displaces the stored 12
-    worse = FBoundEntry(
-        e=4, r=13, bound=13, exact=False,
-        certificate=_entry(4, 13, seed=1).certificate, nvars=13,
-        field_spec=good.field_spec, seed=1, timestamp=good.timestamp,
-    )
+    worse = FBoundEntry.from_form(power_sum_form(13, 4), 4, 13, 13)
+    assert worse.verify() and worse.certificate != good.certificate
     merged = merge_store(path, [worse])
     kept = [en for en in merged if (en.e, en.r) == (4, 13)]
     assert len(kept) == 1 and kept[0].bound == 12
-    assert kept[0].seed == good.seed
+    assert kept[0].certificate == good.certificate
 
 
 def test_merge_tie_keeps_incumbent(tmp_path):
     path = str(tmp_path / "cache.json")
-    first = _entry(4, 6, seed=0)
+    first = dataclasses.replace(_entry(4, 6), timestamp="2000-01-01T00:00:00+00:00")
     merge_store(path, [first])
-    second = _entry(4, 6, seed=99)
-    assert second.bound == first.bound
+    second = _entry(4, 6)
+    assert second.bound == first.bound and second.timestamp != first.timestamp
     merged = merge_store(path, [second])
     kept = [en for en in merged if (en.e, en.r) == (4, 6)][0]
-    assert kept.seed == 0
+    assert kept.timestamp == first.timestamp
 
 
 def test_corrupt_certificate_dropped_with_warning(tmp_path, caplog):
@@ -92,7 +90,7 @@ def test_corrupt_certificate_dropped_with_warning(tmp_path, caplog):
 def test_socle_three_entry_below_codimension_dropped(tmp_path, caplog):
     path = tmp_path / "cache.json"
     F = power_sum_form(4, 3)
-    cubic = FBoundEntry.from_form(F, 3, 4, 4, seed=0)
+    cubic = FBoundEntry.from_form(F, 3, 4, 4)
     assert cubic.verify()
     low = dict(cubic.to_dict(), bound=2)
     path.write_text(json.dumps([low]))
@@ -130,7 +128,7 @@ def _mixed_table():
     good4 = _entry(4, 5).to_dict()
     good5q = search_min_h2(5, 4, fld=QQ).to_dict()
     good4p7 = search_min_h2(4, 6, fld=GF(7)).to_dict()
-    cubic = FBoundEntry.from_form(power_sum_form(4, 3), 3, 4, 4, seed=0).to_dict()
+    cubic = FBoundEntry.from_form(power_sum_form(4, 3), 3, 4, 4).to_dict()
     return [
         good4,
         {"e": 4},  # malformed: no r
@@ -192,23 +190,22 @@ def test_batched_load_keeps_and_warns_as_one_entry_at_a_time(tmp_path, caplog):
     caplog.set_level("WARNING", logger="apolar.cache")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FBoundEntry, "verify", counted)
-        mp.setattr(apolar.cache, "hilbert_functions", batch)
+        mp.setattr(apolar.search, "hilbert_functions", batch)
         loaded = load_table(str(path))
     assert [en.to_dict() for en in loaded] == kept
     assert [rec.getMessage() for rec in caplog.records] == warnings
-    # one verify call per entry that from_dict accepts, in file order; the
-    # certificates that parse to a nonzero form in a characteristic above
-    # its degree are ranked in one batch, and verify gets their Hilbert
-    # function (the unsupported e = 6 one too, the degree-3 one under e = 4
-    # and the degree-5 one under e = 4)
+    # one verify call per entry that from_dict accepts, in file order, each
+    # given its value from one batch; only the certificates that parse to a
+    # nonzero form of degree e, for e in 3..5, are ranked, and a value is
+    # the degree-2 entry of a certificate with the target shape
     entries = [FBoundEntry.from_dict(it) for it in items
                if isinstance(it, dict) and "r" in it and it["r"] != "x"]
     assert [args[0].to_dict() for args in calls] == [en.to_dict() for en in entries]
-    given = [args[1] for args in calls if len(args) > 1]
-    assert batches == [len(given)] and len(given) == len(entries) - 4
-    for args in calls:
-        if len(args) > 1:
-            assert args[1] == hilbert_function(args[0].parse_certificate())
+    assert all(len(args) == 2 for args in calls)
+    given = [(en, h2) for en, h2 in calls if h2 is not None]
+    assert batches == [len(given)] and len(given) == 8
+    for en, h2 in given:
+        assert h2 == hilbert_function(en.parse_certificate())[2]
 
 
 def test_structurally_broken_files_raise(tmp_path):
@@ -233,7 +230,7 @@ def test_store_writes_valid_sorted_json(tmp_path):
 _CHILD_WRITER = """
 import sys
 from apolar import DEFAULT_FIELD, FBoundEntry, merge_store, power_sum_form
-entry = FBoundEntry.from_form(power_sum_form(4, 4, DEFAULT_FIELD), 4, 4, 4, 0)
+entry = FBoundEntry.from_form(power_sum_form(4, 4, DEFAULT_FIELD), 4, 4, 4)
 print("ready", flush=True)
 merge_store(sys.argv[1], [entry])
 """
@@ -259,9 +256,7 @@ def test_concurrent_writer_waits_for_the_lock(tmp_path):
             assert child.stdout.readline() == "ready\n"
             time.sleep(0.5)
             assert child.poll() is None and not os.path.exists(path)
-            mine = FBoundEntry.from_form(
-                power_sum_form(5, 4, DEFAULT_FIELD), 4, 5, 5, 0
-            )
+            mine = FBoundEntry.from_form(power_sum_form(5, 4, DEFAULT_FIELD), 4, 5, 5)
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump([mine.to_dict()], fh)
         child.communicate(timeout=60)

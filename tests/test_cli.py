@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from apolar import load_table
+from apolar import load_table, search_min_h2
 from apolar.cli import build_parser, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -316,6 +316,50 @@ def test_corrupt_cache_exits_2(tmp_path, capsys):
         ["gic", "--e", "4", "--rmin", "3", "--rmax", "3", "--cache", str(cache)],
     )
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "r,exact,row",
+    [
+        (14, True, "r=14  lower=?  upper=13  exact=false"),
+        (14, "false", "r=14  lower=?  upper=13  exact=false"),
+        (13, False, "r=13  lower=12  upper=12  exact=true"),
+    ],
+)
+def test_gic_derives_exact_instead_of_reading_it(tmp_path, capsys, r, exact, row):
+    # exact is true only where the bound is the known minimum, whatever the
+    # file claims
+    cache = tmp_path / "bounds.json"
+    argv = ["--e", "4", "--cache", str(cache)]
+    assert _run(capsys, ["search-f", "--r", str(r)] + argv)[0] == 0
+    data = json.loads(cache.read_text())
+    data[0]["exact"] = exact
+    cache.write_text(json.dumps(data))
+    code, out, err = _run(capsys, ["gic", "--rmin", str(r), "--rmax", str(r)] + argv)
+    assert code == 0 and err == ""
+    assert row in out.splitlines()
+
+
+@pytest.mark.parametrize("key", ["e", "r", "bound", "nvars"])
+@pytest.mark.parametrize(
+    "token", ["true", "{}.9", "{}.0", '"{}"', "Infinity", "-Infinity", "NaN", "1e999"]
+)
+def test_cache_entry_numbers_must_be_json_integers(tmp_path, capsys, caplog, key, token):
+    # a float bound of 13.9 once read as 13 and verified; Infinity crashed
+    good = search_min_h2(4, 3).to_dict()
+    bad = search_min_h2(4, 14).to_dict()
+    cache = tmp_path / "bounds.json"
+    text = json.dumps([good, dict(bad, **{key: "@"})])
+    cache.write_text(text.replace('"@"', token.format(bad[key])))
+    caplog.set_level("WARNING", logger="apolar.cache")
+    for argv in (["gic", "--rmin", "3", "--rmax", "3"], ["search-f", "--r", "4"]):
+        caplog.clear()
+        code, _, err = _run(capsys, argv + ["--e", "4", "--cache", str(cache)])
+        assert code == 0, err
+        assert [rec.getMessage().split(":")[0] for rec in caplog.records] == [
+            f"dropping malformed cache entry 1 in {cache}"
+        ]
+    assert [(en.e, en.r) for en in load_table(str(cache))] == [(4, 3), (4, 4)]
 
 
 def test_reports_byte_identical_across_commands(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -108,7 +109,7 @@ def test_verify_certificate():
 
 
 def test_fbound_entry_round_trip_and_verify():
-    en = search_min_h2(4, 13, seed=0)
+    en = search_min_h2(4, 13)
     assert en.bound == 12 and en.exact
     assert en.verify()
     d = en.to_dict()
@@ -121,27 +122,51 @@ def test_fbound_entry_round_trip_and_verify():
     assert not broken.verify()
 
 
+def test_fbound_entry_holds_only_what_cannot_be_derived():
+    en = search_min_h2(4, 13)
+    assert [f.name for f in dataclasses.fields(en)] == [
+        "e", "r", "bound", "certificate", "nvars", "field_spec", "timestamp",
+    ]
+    with pytest.raises(AttributeError):
+        en.exact = False
+    # exact is False where no minimum is known or (e, r) is unsupported
+    assert en.exact and not dataclasses.replace(en, bound=13).exact
+    assert not search_min_h2(4, 14).exact
+    assert not dataclasses.replace(en, e=6).exact
+    assert not dataclasses.replace(en, r=0).exact
+    # an older item's seed and a stored exact are not read
+    old = dict(en.to_dict(), seed=7, exact="false")
+    assert FBoundEntry.from_dict(old) == en and "seed" not in en.to_dict()
+
+
+def test_known_minimum_never_decreases():
+    for e in (3, 4, 5):
+        known = [known_min_h2(e, r) for r in range(1, 41)]
+        exact = [a for a in known if a is not None]
+        assert exact == sorted(exact), e
+
+
 def test_f_upper_bound_exact_range():
     for r in (3, 7, 12):
-        en = search_min_h2(4, r, seed=0)
+        en = search_min_h2(4, r)
         assert en.bound == r and en.exact
         F = en.parse_certificate()
         assert codimension(F) == r
-    en = search_min_h2(5, 16, seed=0)
+    en = search_min_h2(5, 16)
     assert en.bound == 16 and en.exact
 
 
 def test_f_upper_bound_beyond_exact_range():
-    en = search_min_h2(4, 14, seed=0)
+    en = search_min_h2(4, 14)
     assert en.bound <= 13 and not en.exact
     assert en.verify()
-    en5 = search_min_h2(5, 17, seed=0)
+    en5 = search_min_h2(5, 17)
     assert en5.bound <= 16 and not en5.exact
 
 
 def test_f_upper_bound_is_deterministic():
-    a = search_min_h2(4, 9, seed=42)
-    b = search_min_h2(4, 9, seed=42)
+    a = search_min_h2(4, 9)
+    b = search_min_h2(4, 9)
     assert a.to_dict(with_timestamp=False) == b.to_dict(with_timestamp=False)
     with pytest.raises(ValueError):
         search_min_h2(3, 5)
@@ -170,7 +195,7 @@ def test_classification_exact_range():
 
 
 def test_classification_beyond_range_uses_table():
-    en = search_min_h2(4, 14, seed=0)
+    en = search_min_h2(4, 14)
     assert classify_h_vector(4, 14, en.bound, [en]) == "gorenstein"
     assert classify_h_vector(4, 14, en.bound - 1, [en]) == "unknown"
     assert classify_h_vector(4, 14, 10, []) == "unknown"
@@ -276,7 +301,7 @@ def test_realization_gap_error_shape():
 
 
 def test_gic_verify_known_ranges():
-    table = [search_min_h2(4, r, seed=0) for r in range(3, 14)]
+    table = [search_min_h2(4, r) for r in range(3, 14)]
     rep = gic_verify(4, 3, 13, table, seed=0)
     assert rep.nondecreasing and rep.ok
     for row in rep.rows:
@@ -286,7 +311,7 @@ def test_gic_verify_known_ranges():
 
 
 def test_gic_descent_rows_replay_from_their_hyperplane():
-    table = [search_min_h2(4, r, seed=0) for r in range(3, 9)]
+    table = [search_min_h2(4, r) for r in range(3, 9)]
     row = gic_verify(4, 3, 8, table, seed=0).descent[-1]
     en = next(en for en in table if en.r == row["r"])
     fld = parse_field_spec(en.field_spec)
@@ -296,7 +321,7 @@ def test_gic_descent_rows_replay_from_their_hyperplane():
 
 
 def test_gic_verify_incomplete_table():
-    table = [search_min_h2(4, r, seed=0) for r in (3, 5)]
+    table = [search_min_h2(4, r) for r in (3, 5)]
     with pytest.raises(IncompleteTableError):
         gic_verify(4, 3, 5, table)
     with pytest.raises(ValueError):
@@ -304,12 +329,12 @@ def test_gic_verify_incomplete_table():
 
 
 def test_gic_verify_flags_bound_inversion():
-    table = [search_min_h2(4, r, seed=0) for r in (11, 12)]
+    table = [search_min_h2(4, r) for r in (11, 12)]
     # forge an entry claiming a bound below the exact value at r = 11
     forged = FBoundEntry(
-        e=4, r=13, bound=9, exact=False,
+        e=4, r=13, bound=9,
         certificate=str(power_sum_form(13, 4)), nvars=13,
-        field_spec=DEFAULT_FIELD.spec, seed=0,
+        field_spec=DEFAULT_FIELD.spec,
     )
     rep = gic_verify(4, 11, 13, table + [forged], seed=0)
     assert not rep.nondecreasing
@@ -319,7 +344,7 @@ def test_gic_verify_flags_bound_inversion():
 
 
 def test_gic_report_serializes():
-    table = [search_min_h2(4, r, seed=0) for r in (3, 4)]
+    table = [search_min_h2(4, r) for r in (3, 4)]
     d = gic_verify(4, 3, 4, table, seed=0).to_dict()
     assert d["e"] == 4 and len(d["rows"]) == 2
     assert {"rows", "violations", "descent", "nondecreasing"} <= set(d)
