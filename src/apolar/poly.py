@@ -40,6 +40,13 @@ from .errors import (
     ZeroFormError,
 )
 
+# The most variables a parsed form may have.  `parse_form` refuses more
+# before it allocates an exponent list per term, and `search_min_h2` refuses
+# a larger codimension, whose power sum holds r exponent tuples of length r.
+# A quartic in this many variables already has a middle catalecticant of
+# C(1001, 2) = 500500 rows, far beyond what exact rank reaches.
+MAX_NVARS = 1000
+
 
 @lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -357,8 +364,8 @@ def _skip(text, pos):
 def parse_form(text: str, nvars: int, field) -> Form:
     """Parse ASCII form text: terms of [coef '*'] y<i>['^'<e>] factors joined
     by '+'/'-'; a bare coefficient is accepted as a degree-0 term."""
-    if nvars < 0:
-        raise ValueError("nvars must be nonnegative")
+    if not 0 <= nvars <= MAX_NVARS:
+        raise ValueError(f"nvars {nvars} outside 0..{MAX_NVARS}")
     bad = _UNEXPECTED.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r}", bad.start())

@@ -11,17 +11,15 @@ whether an entry is exact (derived, never stored) and classify h-vectors.
 Bound search and interval realization share one candidate portfolio, the
 deterministic structured forms: the power sum and the padded or truncated
 bipartite forms.  The bound search takes the least of them.  Interval
-realization takes them first and fills the remaining values from one fixed
-chain of sums of powers: the power sum, then one binary power (y_i + y_j)^e
-per value, the pairs i < j in lexicographic order, so the chain ends
-exactly at C(r+1,2).  A step whose Hilbert function misses its value ends
-the chain, and every later value no structured form covers is reported as
-a gap.  Neither draws random numbers; only the descent check of
-`gic_verify` draws hyperplanes.  The structured forms of one search, the
-certificates of one bound table and the restricted forms of all descent
-rows are each ranked in one `hilbert_functions` call; the chain is ranked
-one step at a time, since each step is built only when the one before it
-hit its value.
+realization appends one fixed chain of sums of powers to them: the power
+sum, then one binary power (y_i + y_j)^e per step, the pairs i < j in
+lexicographic order, so the chain ends exactly at C(r+1,2).  Every form
+certifies the value its own Hilbert function has, structured forms first,
+and every value no form has is reported as a gap.  Neither draws random
+numbers; only the descent check of `gic_verify` draws hyperplanes.  The
+forms of one search or one realization, the certificates of one bound
+table and the restricted forms of all descent rows are each ranked in one
+`hilbert_functions` call.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .errors import (
     ZeroFormError,
 )
 from .fields import DEFAULT_FIELD, parse_field_spec
-from .poly import Form, monomials_of_degree, parse_form
+from .poly import MAX_NVARS, Form, monomials_of_degree, parse_form
 from .restriction import LinearForm, random_linear_form, restrict_mod, trial_rng
 
 log = logging.getLogger(__name__)
@@ -288,8 +286,8 @@ def search_min_h2(e: int, r: int, fld=DEFAULT_FIELD) -> FBoundEntry:
     Nothing is drawn at random."""
     if e not in (4, 5):
         raise ValueError(f"unsupported socle degree {e}")
-    if r < 1:
-        raise ValueError(f"codimension {r} < 1")
+    if not 1 <= r <= MAX_NVARS:
+        raise ValueError(f"codimension {r} outside 1..{MAX_NVARS}")
     known = known_min_h2(e, r)
     best = None  # (bound, number of terms, Form)
     forms = list(_structured_forms(e, r, fld))
@@ -337,35 +335,32 @@ def realize_interval(e: int, r: int, fld=DEFAULT_FIELD) -> dict[int, Form]:
     """A verified certificate for every degree-2 entry in the full interval
     [known minimum, C(r+1,2)].
 
-    Values hit by a structured form take that form.  The rest come from one
-    fixed chain: starting at the power sum (h_2 = r), step k adds
-    (y_i + y_j)^e for the k-th pair i < j in lexicographic order, so after
-    C(r,2) steps the chain reaches C(r+1,2).  The sum of r + k powers has
-    h_2 = r + k (and h_3 = r + k for e = 5): h_i is the dimension of the
-    span of the (e-i)-th powers of the r + k linear forms, and their squares
-    and, for e = 5, their cubes are linearly independent once the
-    characteristic exceeds e, each pair bringing its own y_i y_j (or
-    y_i^2 y_j).  Every step is still re-verified by exact rank, and a step
-    that misses its value ends the chain.  Nothing is drawn at random.  Raises
-    RealizationGapError listing every value left without a certificate."""
+    The structured forms come first, then one fixed chain: starting at the
+    power sum (h_2 = r), step k adds (y_i + y_j)^e for the k-th pair i < j
+    in lexicographic order, so after C(r,2) steps the chain reaches
+    C(r+1,2).  The sum of r + k powers has h_2 = r + k (and h_3 = r + k for
+    e = 5): h_i is the dimension of the span of the (e-i)-th powers of the
+    r + k linear forms, and their squares and, for e = 5, their cubes are
+    linearly independent once the characteristic exceeds e, each pair
+    bringing its own y_i y_j (or y_i^2 y_j).  The whole list is ranked in one batch, and each form
+    certifies the value its own Hilbert function has, the first in the list
+    winning.  Nothing is drawn at random.  Raises RealizationGapError
+    listing every value left without a certificate."""
     if e not in (4, 5):
         raise ValueError(f"unsupported socle degree {e}")
     known = known_min_h2(e, r)
     if known is None:
         raise ValueError(f"codimension {r} is outside the certified exact range")
     cap = max_h2(r)
-    certs = {}
     forms = list(_structured_forms(e, r, fld))
-    for F, a in zip(forms, _candidate_h2((F, e, r) for F in forms)):
-        certs.setdefault(a, F)
-    chain = power_sum_form(r, e, fld)
-    pairs = itertools.combinations(range(r), 2)
-    for a, (i, j) in enumerate(pairs, start=r + 1):
+    chain = forms[0]  # the power sum
+    for i, j in itertools.combinations(range(r), 2):
         L = LinearForm([int(t in (i, j)) for t in range(r)], fld)
         chain = chain + L.as_form() ** e
-        if _candidate_h2([(chain, e, r)])[0] != a:
-            break
-        certs.setdefault(a, chain)
+        forms.append(chain)
+    certs = {}
+    for F, a in zip(forms, _candidate_h2((F, e, r) for F in forms)):
+        certs.setdefault(a, F)
     certs = {a: certs[a] for a in range(known, cap + 1) if a in certs}
     gaps = [a for a in range(known, cap + 1) if a not in certs]
     if gaps:

@@ -8,6 +8,7 @@ import pytest
 
 from apolar import load_table, search_min_h2
 from apolar.cli import build_parser, run
+from apolar.poly import MAX_NVARS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -81,6 +82,41 @@ def test_hf_refuses_characteristic_not_above_degree(capsys):
     code, out, _ = _run(capsys, argv + ["--field", "p:11"])
     assert code == 0
     assert "(1,2,2,2,2,2,2,1)" in out
+
+
+@pytest.mark.parametrize("nvars", [10**30, 10**9])
+@pytest.mark.parametrize("command", ["hf", "restrict"])
+def test_huge_variable_counts_exit_2(capsys, command, nvars):
+    # refused before an exponent list of that length is allocated
+    code, out, err = _run(capsys, [command, "--form", "y0^4", "--vars", str(nvars)])
+    assert (code, out) == (2, "")
+    assert err == f"error: nvars {nvars} outside 0..{MAX_NVARS}\n"
+
+
+def test_search_f_refuses_a_codimension_above_the_variable_limit(tmp_path, capsys):
+    cache = tmp_path / "bounds.json"
+    r = MAX_NVARS + 1
+    argv = ["search-f", "--e", "4", "--r", str(r), "--cache", str(cache)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: codimension {r} outside 1..{MAX_NVARS}\n"
+    assert not cache.exists()
+
+
+def test_cache_entry_with_huge_variable_count_is_dropped(tmp_path, capsys, caplog):
+    good = search_min_h2(4, 3).to_dict()
+    huge = dict(search_min_h2(4, 4).to_dict(), nvars=10**30)
+    cache = tmp_path / "bounds.json"
+    cache.write_text(json.dumps([good, huge]))
+    caplog.set_level("WARNING", logger="apolar.cache")
+    argv = ["gic", "--e", "4", "--rmin", "3", "--rmax", "3", "--cache", str(cache)]
+    code, _, err = _run(capsys, argv)
+    assert code == 0, err
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"dropping cache entry 1 in {cache}: certificate for e=4 r=4 "
+        "failed re-verification"
+    ]
+    assert [(en.e, en.r) for en in load_table(str(cache))] == [(4, 3)]
 
 
 def test_usage_errors_exit_2(capsys):

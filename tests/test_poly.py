@@ -23,7 +23,7 @@ from apolar import (
     random_form,
     trial_rng,
 )
-from apolar.poly import grlex_key
+from apolar.poly import MAX_NVARS, grlex_key
 
 
 def test_monomials_of_degree_count_and_order():
@@ -281,6 +281,14 @@ def test_parse_numbers_beyond_the_integer_string_limit(text, pos):
     assert type(info.value) is ParseError
     assert str(info.value) == f"number of {digits} digits is too long (at position {pos})"
     assert info.value.pos == pos
+
+
+def test_parse_refuses_variable_counts_outside_the_limit():
+    F = parse_form(f"y{MAX_NVARS - 1}^2", MAX_NVARS, QQ)
+    assert F.nvars == MAX_NVARS and F.degree == 2
+    for nvars in (-1, MAX_NVARS + 1, 10**30):
+        with pytest.raises(ValueError, match=f"nvars {nvars} outside 0..{MAX_NVARS}"):
+            parse_form("y0^2", nvars, QQ)
 
 
 def test_parse_long_numbers_when_python_sets_no_limit():

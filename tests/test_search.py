@@ -214,10 +214,13 @@ def test_realize_interval_small():
 
 
 def test_realize_interval_ranks_each_form_once(monkeypatch):
+    # the structured forms and the chain go to one hilbert_functions call
     seen = []
+    calls = []
 
     def counting(forms):
         forms = list(forms)
+        calls.append(len(forms))
         seen.extend((F.nvars, str(F)) for F in forms)
         return hilbert_functions(forms)
 
@@ -225,6 +228,34 @@ def test_realize_interval_ranks_each_form_once(monkeypatch):
     certs = realize_interval(4, 8)
     assert sorted(certs) == list(range(8, max_h2(8) + 1))
     assert len(seen) == len(set(seen))
+    assert len(calls) == 1
+
+
+def test_realize_interval_chain_miss_loses_only_its_own_value(monkeypatch):
+    # step 22 of the r = 8 chain certifies 30, which no structured form has;
+    # a Hilbert function one short there (as a rank that dropped mod p
+    # would give) leaves 30 a gap and every later step keeps its value
+    full = {a: str(F) for a, F in realize_interval(4, 8).items()}
+    chain = power_sum_form(8, 4)
+    for i, j in list(itertools.combinations(range(8), 2))[:22]:
+        L = LinearForm([int(t in (i, j)) for t in range(8)], DEFAULT_FIELD)
+        chain = chain + L.as_form() ** 4
+    assert full[30] == str(chain)
+
+    def missing_one(forms):
+        forms = list(forms)
+        hfs = hilbert_functions(forms)
+        return [
+            (1, 8, 29, 8, 1) if str(F) == full[30] else hf
+            for F, hf in zip(forms, hfs)
+        ]
+
+    monkeypatch.setattr(apolar.search, "hilbert_functions", missing_one)
+    with pytest.raises(RealizationGapError) as info:
+        realize_interval(4, 8)
+    assert info.value.gaps == [30]
+    kept = {a: str(F) for a, F in info.value.certificates.items()}
+    assert kept == {a: F for a, F in full.items() if a != 30}
 
 
 def test_realize_interval_builds_one_chain_of_powers(monkeypatch):
