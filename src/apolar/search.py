@@ -37,7 +37,7 @@ from .errors import (
     ZeroFormError,
 )
 from .fields import DEFAULT_FIELD, parse_field_spec
-from .poly import MAX_NVARS, Form, monomials_of_degree, parse_form
+from .poly import Form, monomials_of_degree, parse_form
 from .restriction import LinearForm, random_linear_form, restrict_mod, trial_rng
 
 log = logging.getLogger(__name__)
@@ -45,6 +45,12 @@ log = logging.getLogger(__name__)
 GORENSTEIN = "gorenstein"
 NOT_GORENSTEIN = "not-gorenstein"
 UNKNOWN = "unknown"
+
+# The largest codimension `search_min_h2` accepts, per socle degree.  Its
+# structured forms are ranked in one batch: at e = 4 that takes 4.1 s and
+# 1.1 GB at r = 160 and needs over 3 GB at r = 200; at e = 5, 4.2 s and
+# 1.3 GB at r = 100 and over 3 GB at r = 120.
+MAX_SEARCH_R = {4: 160, 5: 100}
 
 # Exact minimal degree-2 entries: value r up to the first drop, which lands
 # at codimension 13 in socle degree 4; socle degree 5 stays at r through 16
@@ -286,8 +292,8 @@ def search_min_h2(e: int, r: int, fld=DEFAULT_FIELD) -> FBoundEntry:
     Nothing is drawn at random."""
     if e not in (4, 5):
         raise ValueError(f"unsupported socle degree {e}")
-    if not 1 <= r <= MAX_NVARS:
-        raise ValueError(f"codimension {r} outside 1..{MAX_NVARS}")
+    if not 1 <= r <= MAX_SEARCH_R[e]:
+        raise ValueError(f"codimension {r} outside 1..{MAX_SEARCH_R[e]}")
     known = known_min_h2(e, r)
     best = None  # (bound, number of terms, Form)
     forms = list(_structured_forms(e, r, fld))
@@ -342,10 +348,11 @@ def realize_interval(e: int, r: int, fld=DEFAULT_FIELD) -> dict[int, Form]:
     e = 5): h_i is the dimension of the span of the (e-i)-th powers of the
     r + k linear forms, and their squares and, for e = 5, their cubes are
     linearly independent once the characteristic exceeds e, each pair
-    bringing its own y_i y_j (or y_i^2 y_j).  The whole list is ranked in one batch, and each form
-    certifies the value its own Hilbert function has, the first in the list
-    winning.  Nothing is drawn at random.  Raises RealizationGapError
-    listing every value left without a certificate."""
+    bringing its own y_i y_j (or y_i^2 y_j).  The whole list is ranked in
+    one batch, and each form certifies the value its own Hilbert function
+    has, the first in the list winning.  Nothing is drawn at random.
+    Raises RealizationGapError listing every value left without a
+    certificate."""
     if e not in (4, 5):
         raise ValueError(f"unsupported socle degree {e}")
     known = known_min_h2(e, r)

@@ -9,6 +9,7 @@ import pytest
 from apolar import load_table, search_min_h2
 from apolar.cli import build_parser, run
 from apolar.poly import MAX_NVARS
+from apolar.search import MAX_SEARCH_R
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -93,13 +94,21 @@ def test_huge_variable_counts_exit_2(capsys, command, nvars):
     assert err == f"error: nvars {nvars} outside 0..{MAX_NVARS}\n"
 
 
-def test_search_f_refuses_a_codimension_above_the_variable_limit(tmp_path, capsys):
+def test_variable_count_at_the_limit_still_works(capsys):
+    argv = ["hf", "--form", "y0^4+y1^4", "--vars", str(MAX_NVARS)]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "(1,2,2,2,1)" in out
+
+
+@pytest.mark.parametrize("e", [4, 5])
+def test_search_f_refuses_a_codimension_above_its_limit(tmp_path, capsys, e):
     cache = tmp_path / "bounds.json"
-    r = MAX_NVARS + 1
-    argv = ["search-f", "--e", "4", "--r", str(r), "--cache", str(cache)]
+    r = MAX_SEARCH_R[e] + 1
+    argv = ["search-f", "--e", str(e), "--r", str(r), "--cache", str(cache)]
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
-    assert err == f"error: codimension {r} outside 1..{MAX_NVARS}\n"
+    assert err == f"error: codimension {r} outside 1..{MAX_SEARCH_R[e]}\n"
     assert not cache.exists()
 
 
