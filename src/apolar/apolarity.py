@@ -123,9 +123,9 @@ def _compact(keys):
 
 
 # the assembly's arrays grow with the terms of a batch; a batch holds at
-# most this many terms (or one form), so batching the dense restrictions of
-# a gic table needs little more memory than its largest one alone (4368
-# terms at e = 5, r = 13)
+# most this many terms (or one form), so ranking a long list at once, such
+# as realize's chain of sums of powers (about 10^4 terms in all at e = 4,
+# r = 13), needs little more memory than its largest form alone
 _BATCH_TERMS = 4096
 
 

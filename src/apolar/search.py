@@ -20,6 +20,16 @@ numbers; only the descent check of `gic_verify` draws hyperplanes.  The
 forms of one search or one realization, the certificates of one bound
 table and the restricted forms of all descent rows are each ranked in one
 `hilbert_functions` call.
+
+A descent restricts a certificate F to a random hyperplane H by
+eliminating the variable of least degree in F among those H involves,
+ties going to the lowest index.  Any variable H involves parametrizes the
+same hyperplane {H = 0}, so two such restrictions differ by an invertible
+linear change of coordinates in the remaining variables, which keeps every
+catalecticant rank and keeps the zero form zero.  Every structured
+certificate has a variable of degree 1 in a single term, so its
+restriction has at most len(F.coeffs) + F.nvars terms, where eliminating a
+pure power y^e would expand it into the C(n + e - 2, e) terms of L^e.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from .errors import (
     ZeroFormError,
 )
 from .fields import DEFAULT_FIELD, parse_field_spec
-from .poly import Form, monomials_of_degree, parse_form
+from .poly import Form, _deg_in, monomials_of_degree, parse_form
 from .restriction import LinearForm, random_linear_form, restrict_mod, trial_rng
 
 log = logging.getLogger(__name__)
@@ -409,7 +419,16 @@ def gic_verify(e: int, r_lo: int, r_hi: int, table, seed: int = 0) -> GicReport:
     smaller one, and each certificate must lose exactly one codimension
     under a random hyperplane restriction without its degree-2 entry
     growing.  Each descent row records its hyperplane H in the
-    comma-separated form `restrict --H` accepts, so it replays."""
+    comma-separated form `restrict --H` accepts, so it replays.
+
+    The restriction eliminates the variable of least degree in the
+    certificate among those H involves, the lowest index on ties, so a
+    padded certificate loses a variable of degree 1 rather than a pure
+    power.  `restrict --H` eliminates H's last variable instead and still
+    gives the row's `restricted_hf`: both variables parametrize {H = 0},
+    so the two restricted forms differ by an invertible linear change of
+    coordinates, which keeps every catalecticant rank and keeps zero
+    zero."""
     if r_lo < 1 or r_lo > r_hi:
         raise ValueError(f"bad codimension range [{r_lo}, {r_hi}]")
     best: dict[int, FBoundEntry] = {}
@@ -452,7 +471,13 @@ def gic_verify(e: int, r_lo: int, r_hi: int, table, seed: int = 0) -> GicReport:
         F = en.parse_certificate()
         rng = trial_rng(seed, r)
         H = random_linear_form(en.nvars, fld, rng)
-        restricted.append((r, H, restrict_mod(F, H)))
+        # eliminate the variable of least degree in F that H involves; min
+        # keeps the first, so ties go to the lowest index
+        pivot = min(
+            (i for i, a in enumerate(H.coeffs) if not fld.is_zero(a)),
+            key=lambda i: _deg_in(F, i),
+        )
+        restricted.append((r, H, restrict_mod(F, LinearForm(H.coeffs, fld, pivot))))
     hfs = iter(hilbert_functions(G for _, _, G in restricted if not G.is_zero))
     descent = []
     for r, H, G in restricted:

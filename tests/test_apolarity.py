@@ -294,8 +294,9 @@ def test_position_counts_the_graded_lex_listing():
 
 @pytest.mark.parametrize("p", ORACLE_FIELDS, ids=ORACLE_IDS)
 def test_dense_forms_match_operator_images_and_oracle(p):
-    # the shape of gic descents: every monomial of degree 4 or 5 in 12-16
-    # variables, so each (row, column) pair is one term's entry
+    # every monomial of degree 4 or 5 in 12-16 variables, so each (row,
+    # column) pair is one term's entry: the shape `restrict` gives a pure
+    # power y^e when a dense H eliminates y
     fld = QQ if p is None else GF(p)
     rng = random.Random(f"dense/{p}")
     for n, d in ((12, 4), (16, 4), (12, 5)):

@@ -364,6 +364,25 @@ def test_corrupt_cache_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,cache",
+    [
+        (["search-f", "--e", "4", "--r", "3"], "missing/x.json"),
+        (["gic", "--e", "4", "--rmin", "3", "--rmax", "3"], "missing/x.json"),
+        (["realize", "--e", "4", "--r", "3"], "table"),
+    ],
+)
+def test_bad_cache_path_exits_2(tmp_path, capsys, argv, cache):
+    # a lock file in a missing directory, or a directory read as the table,
+    # once escaped as an OSError traceback with exit 1
+    path = tmp_path / cache
+    (tmp_path / "table").mkdir()
+    code, out, err = _run(capsys, argv + ["--cache", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
     "r,exact,row",
     [
         (14, True, "r=14  lower=?  upper=13  exact=false"),

@@ -226,14 +226,31 @@ def test_restriction_drops_one_variable():
 
 
 def test_restriction_pivot_choice_is_immaterial():
-    fld = DEFAULT_FIELD
-    F = random_form(4, 4, fld, trial_rng(22, 0))
-    coeffs = [3, 1, 4, 5]
-    hfs = set()
-    for piv in range(4):
-        H = LinearForm(coeffs, fld, pivot=piv)
-        hfs.add(tuple(hilbert_function(restrict_mod(F, H))))
-    assert len(hfs) == 1
+    # every pivot parametrizes the same hyperplane {H = 0}, so two images
+    # differ by an invertible linear change of coordinates, which keeps the
+    # Hilbert function and keeps zero zero; gic_verify relies on this
+    for t, fld in enumerate([GF(7), GF(11), DEFAULT_FIELD, QQ]):
+        rng = trial_rng(22, t)
+        for _ in range(10):
+            nv = rng.randrange(3, 6)
+            F = _random_terms_form(
+                nv, rng.randrange(3, 6), fld, rng, rng.choice([None, 2, 4, 8])
+            )
+            zeros = rng.choice([0, 0.6])
+            coeffs = [0 if rng.random() < zeros else _scalar(fld, rng) for _ in range(nv)]
+            coeffs[rng.randrange(nv)] = _scalar(fld, rng) or fld.one
+            hfs = set()
+            for piv, a in enumerate(coeffs):
+                if fld.is_zero(fld.coerce(a)):
+                    continue
+                G = restrict_mod(F, LinearForm(coeffs, fld, pivot=piv))
+                hfs.add(None if G.is_zero else tuple(hilbert_function(G)))
+            assert len(hfs) == 1, (F, coeffs)
+            if G.is_zero:
+                continue
+            assert hfs == {span_oracle.span_hilbert(
+                G.coeffs, G.nvars, G.degree, fld.char or None
+            )}
 
 
 def test_restriction_monotone_hilbert_function():

@@ -27,7 +27,6 @@ from apolar import (
     known_min_h2,
     max_h2,
     padded_form,
-    parse_field_spec,
     power_sum_form,
     realize_interval,
     restrict_mod,
@@ -342,13 +341,39 @@ def test_gic_verify_known_ranges():
 
 
 def test_gic_descent_rows_replay_from_their_hyperplane():
-    table = [search_min_h2(4, r) for r in range(3, 9)]
-    row = gic_verify(4, 3, 8, table, seed=0).descent[-1]
-    en = next(en for en in table if en.r == row["r"])
-    fld = parse_field_spec(en.field_spec)
-    H = LinearForm([Fraction(c) for c in row["H"].split(",")], fld)
-    G = restrict_mod(en.parse_certificate(), H)
-    assert str(hilbert_function(G)) == row["restricted_hf"]
+    # the replay eliminates H's last variable, as `restrict --H` does, while
+    # gic_verify eliminates a least-degree one: the two must agree
+    for fld in (DEFAULT_FIELD, GF(7), QQ):
+        for e, r_hi in ((4, 16), (5, 13)):
+            table = [search_min_h2(e, r, fld) for r in range(3, r_hi + 1)]
+            descent = gic_verify(e, 3, r_hi, table, seed=0).descent
+            assert [row["r"] for row in descent] == list(range(3, r_hi + 1))
+            for en, row in zip(table, descent):
+                H = LinearForm([Fraction(c) for c in row["H"].split(",")], fld)
+                G = restrict_mod(en.parse_certificate(), H)
+                assert str(hilbert_function(G)) == row["restricted_hf"], (fld, e, en.r)
+
+
+@pytest.mark.parametrize(
+    "e,r_lo,r_hi", [(4, 3, 16), (5, 3, 13), (5, 28, 30), (4, 40, 42)]
+)
+def test_gic_descent_restrictions_stay_sparse(monkeypatch, e, r_lo, r_hi):
+    # every certificate has a variable of degree 1 in a single term, and
+    # eliminating it replaces that term by at most nvars - 1 terms; the last
+    # variable is a pure power y^e, whose elimination expands a dense L^e
+    # (4368 terms at e = 5, r = 13)
+    sizes = []
+
+    def counting(F, H):
+        G = restrict_mod(F, H)
+        sizes.append((len(G.coeffs), len(F.coeffs) + F.nvars))
+        return G
+
+    table = [search_min_h2(e, r) for r in range(r_lo, r_hi + 1)]
+    monkeypatch.setattr(apolar.search, "restrict_mod", counting)
+    assert gic_verify(e, r_lo, r_hi, table, seed=0).ok
+    assert len(sizes) == r_hi - r_lo + 1
+    assert all(got <= cap for got, cap in sizes), sizes
 
 
 def test_gic_verify_incomplete_table():
