@@ -31,12 +31,18 @@ The three randomized checks:
     p_j, the gcd of the first partials of F is prod p_j^{e_j - 1}.
 
 Both gcd questions are one coprimality decision, _coprime, which tries a
-one-sided certificate first: forms whose restrictions to a random plane
-are coprime binary forms, not all zero, are coprime (von zur Gathen-Gerhard,
-Modern Computer Algebra).  Only when the plane test fails does the exact
-multivariate gcd (form_gcd) run, so verdicts never depend on the plane.
-The plane comes from a fixed stream of its own, so no suite draw changes
-either.
+one-sided certificate first: forms whose images on a random plane are
+coprime binary forms, not all zero, are coprime (von zur Gathen-Gerhard,
+Modern Computer Algebra).  The plane is one substitution
+y_k = a_k s + b_k t, with its 2n coefficients drawn from a fixed stream of
+its own, so no suite draw changes.  _plane_images maps all forms of a
+question at once: the terms of every form are stacked as rows of binary
+coefficients, each term's linear factors a_v s + b_v t are multiplied in by
+one shifted multiply-add per factor for all terms together, and
+np.add.reduceat sums the rows of each form; values are int64 residues for
+p < 2^31 and Python objects otherwise, as in restrict_mod.  Only when the
+plane test fails does the exact multivariate gcd (form_gcd) run, so
+verdicts never depend on the plane.
 """
 
 from __future__ import annotations
@@ -215,17 +221,74 @@ def _merge(keys, vals, p):
 _PLANE_SEED = "apolar/plane"
 
 
-def _coprime_on_plane(forms, rng) -> bool:
-    """True only if the forms are coprime: restricted by nvars - 2 random
-    hyperplanes they become binary forms, not all zero, with gcd 1.  A
-    common factor of degree k would restrict to a common factor of degree
-    k or, making every restriction zero, to zero.  False proves nothing."""
+def _plane_images(forms, a, b) -> list:
+    """The binary forms f(a_0 s + b_0 t, ..., a_{n-1} s + b_{n-1} t) in the
+    variables (s, t), for forms of one ring and any degrees.
+
+    A form of degree d maps to the row of its coefficients of s^(d-j) t^j,
+    j = 0..d.  The terms of all forms are stacked, each row starting as the
+    term's scalar, and a term c * y_{v_1} ... y_{v_d} is the product of d
+    linear factors a_v s + b_v t.  Its word v_1..v_d is padded to the
+    largest degree with a variable n that maps to s, which leaves each
+    coefficient of t^j in place, so one shifted multiply-add per letter
+    multiplies in a factor for every term at once.  np.add.reduceat then
+    sums the rows of each form."""
     fld = forms[0].field
-    for n in range(forms[0].nvars, 2, -1):
-        H = random_linear_form(n, fld, rng)
-        forms = [restrict_mod(f, H) for f in forms]
-    forms = [f for f in forms if not f.is_zero]
-    return bool(forms) and form_gcd(forms).degree == 0
+    n = forms[0].nvars
+    p = fld.char
+    val_type = np.int64 if 0 < p < 2**31 else object
+    nonzero = [f for f in forms if not f.is_zero]
+    if not nonzero:
+        return [Form.zero(2, fld) for _ in forms]
+    top = max(f.degree for f in nonzero)
+    monos = np.array(
+        [m + (top - f.degree,) for f in nonzero for m in f.coeffs], np.int64
+    )
+    words = np.repeat(np.tile(np.arange(n + 1), len(monos)), monos.ravel())
+    A = np.array([*a, fld.one], val_type)
+    B = np.array([*b, fld.zero], val_type)
+    rows = np.full((len(monos), top + 1), fld.zero, val_type)
+    rows[:, 0] = [c for f in nonzero for c in f.coeffs.values()]
+    for v in words.reshape(len(monos), top).T:
+        # in int64 each product of two residues is below 2^62, so the sum
+        # of two stays below 2^63
+        shifted = rows[:, :-1] * B[v][:, None]
+        rows = rows * A[v][:, None]
+        rows[:, 1:] += shifted
+        if p:
+            rows %= p
+    starts = np.cumsum([0] + [len(f.coeffs) for f in nonzero[:-1]])
+    sums = np.add.reduceat(rows, starts, axis=0)
+    if p:
+        sums %= p
+    images = iter(sums.tolist())
+    out = []
+    for f in forms:
+        if f.is_zero:
+            out.append(Form.zero(2, fld))
+            continue
+        d = f.degree
+        row = next(images)
+        coeffs = {(d - j, j): c for j, c in enumerate(row[: d + 1]) if c}
+        out.append(Form._raw(2, fld, coeffs, d))
+    return out
+
+
+def _coprime_on_plane(forms, rng) -> bool:
+    """True only if the forms are coprime: on a random plane, the
+    substitution y_k = a_k s + b_k t, they become binary forms, not all
+    zero, with gcd 1.  False proves nothing.
+
+    This holds for any linear substitution, degenerate planes included:
+    it is a ring map that keeps degrees, so a common factor g of degree k
+    maps to g(a s + b t), which divides every image and is either a form of
+    degree k or zero.  If it is zero, every image is zero, and the
+    certificate refuses."""
+    n = forms[0].nvars
+    coeffs = [forms[0].field.random(rng) for _ in range(2 * n)]
+    images = _plane_images(forms, coeffs[:n], coeffs[n:])
+    images = [g for g in images if not g.is_zero]
+    return bool(images) and form_gcd(images).degree == 0
 
 
 def _coprime(forms) -> bool:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -408,6 +409,64 @@ def test_coprime_on_plane_is_one_sided(fld):
         planted = [f * common for f in forms]
         assert not restriction._coprime_on_plane(planted, random.Random(t))
     assert certified > 0
+
+
+def _expanded_images(forms, a, b):
+    # sum of c * prod (a_k s + b_k t)^m_k, by Form arithmetic alone
+    fld = forms[0].field
+    lines = [Form(2, fld, [((1, 0), x), ((0, 1), y)]) for x, y in zip(a, b)]
+    one = Form.constant(2, fld, 1)
+    return [
+        sum(
+            (
+                math.prod((L**m for L, m in zip(lines, mono)), start=one).scale(c)
+                for mono, c in f.coeffs.items()
+            ),
+            Form.zero(2, fld),
+        )
+        for f in forms
+    ]
+
+
+@pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
+def test_plane_images_match_expanded_substitution(fld):
+    for t in range(16):
+        rng = trial_rng(62, t)
+        nv = rng.randrange(3, 7)
+        forms = [
+            _random_terms_form(nv, rng.randrange(0, 9), fld, rng, rng.randrange(1, 7))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        forms.insert(rng.randrange(len(forms) + 1), Form.zero(nv, fld))
+        forms.append(Form.constant(nv, fld, _scalar(fld, rng) or fld.one))
+        # a zero or repeated coefficient must not matter
+        a = [fld.coerce(_scalar(fld, rng)) for _ in range(nv)]
+        b = [fld.coerce(_scalar(fld, rng)) for _ in range(nv)]
+        a[rng.randrange(nv)] = fld.zero
+        b[rng.randrange(nv)] = a[0]
+        images = restriction._plane_images(forms, a, b)
+        assert images == _expanded_images(forms, a, b)
+        for g, f in zip(images, forms):
+            assert g.nvars == 2 and g.degree == (f.degree if g.coeffs else -1)
+            assert all(type(c) is type(fld.one) for c in g.coeffs.values())
+
+
+@pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
+def test_planted_common_factor_never_certifies(fld):
+    for t in range(12):
+        rng = trial_rng(63, t)
+        nv = rng.randrange(3, 7)
+        common = random_form(nv, rng.randrange(1, 3), fld, rng, terms=3)
+        planted = [
+            random_form(nv, rng.randrange(0, 4), fld, rng, terms=3) * common
+            for _ in range(3)
+        ]
+        assert not restriction._coprime_on_plane(planted, random.Random(t))
+        # degenerate planes too: b proportional to a, or b zero
+        a = [fld.random(rng) for _ in range(nv)]
+        for b in ([fld.mul(c, fld.from_int(3)) for c in a], [fld.zero] * nv):
+            images = [g for g in restriction._plane_images(planted, a, b) if g]
+            assert not images or form_gcd(images).degree >= common.degree
 
 
 def test_plane_fallback_keeps_reports(monkeypatch, capsys):

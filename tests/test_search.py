@@ -33,6 +33,7 @@ from apolar import (
     search_min_h2,
     verify_certificate,
 )
+from apolar.poly import monomials_of_degree
 
 
 def test_known_tables():
@@ -82,6 +83,20 @@ def test_bipartite_truncation():
         bipartite_monomial_form(3, 5, keep=16)  # only 15 monomials exist
     with pytest.raises(ValueError):
         bipartite_monomial_form(3, 5, keep=0)
+
+
+def test_bipartite_lists_monomials_lazily_in_graded_lex_order():
+    for m in range(1, 13):
+        for d in range(2, 5):
+            monos = monomials_of_degree(m, d)
+            for keep in sorted({1, m, (len(monos) + 1) // 2, len(monos)}):
+                F = bipartite_monomial_form(m, d + 1, keep=keep)
+                expected = {
+                    mono + tuple(int(j == i) for j in range(keep)): 1
+                    for i, mono in enumerate(monos[:keep])
+                }
+                assert F.nvars == m + keep and F.coeffs == expected
+            assert bipartite_monomial_form(m, d + 1) == F
 
 
 def test_padded_form_adds_to_middle_entries():
