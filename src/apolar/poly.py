@@ -6,10 +6,13 @@ Canonical text and gcd normalization use graded lexicographic order with
 y0 > y1 > ... > y{n-1}.  Forms are immutable by convention: every
 operation returns a fresh form.
 
-Greatest common divisors are computed by recursive content/primitive-part
-reduction with a subresultant pseudo-remainder sequence in the chosen main
-variable; common monomial factors are stripped first, and a constant
-coefficient short-circuits content extraction.
+Greatest common divisors of binary forms are computed by Euclid's
+algorithm on f(y0, 1), held as a coefficient list in the field's scalars,
+times the least power of y1 that divides every input.  With three or more
+variables they are computed by recursive content/primitive-part reduction
+with a subresultant pseudo-remainder sequence in the chosen main variable;
+common monomial factors are stripped first, and a constant coefficient
+short-circuits content extraction.
 
 Form text is parsed in one left-to-right pass.  Three precompiled patterns,
 each anchored at the current position, read the text: a coefficient
@@ -504,6 +507,8 @@ def form_gcd(forms) -> Form:
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         raise ZeroFormError("gcd of all-zero forms")
+    if first.nvars == 2:
+        return _binary_gcd(nonzero)
     nonzero.sort(key=lambda f: (len(f.coeffs), f.degree))
     g = nonzero[0]
     for f in nonzero[1:]:
@@ -511,6 +516,49 @@ def form_gcd(forms) -> Form:
             break
         g = _gcd2(g, f)
     return g.monic()
+
+
+def _binary_gcd(forms) -> Form:
+    """Monic gcd of nonzero binary forms.  A binary form is y1^v times the
+    homogenization of f(y0, 1), where v is its least exponent of y1, so the
+    gcd is y1^min(v) times the homogenized gcd of the f(y0, 1), which
+    Euclid's algorithm finds on coefficient lists (highest power first)."""
+    field = forms[0].field
+    shift = min(m[1] for f in forms for m in f.coeffs)
+    g = None
+    for f in forms:
+        top = max(m[0] for m in f.coeffs)
+        row = [f.coeffs.get((i, f.degree - i), field.zero) for i in range(top, -1, -1)]
+        g = row if g is None else _euclid(g, row, field)
+        if len(g) == 1:
+            break
+    inv = field.inv(g[0])
+    top = len(g) - 1
+    coeffs = {
+        (top - j, j + shift): field.mul(c, inv)
+        for j, c in enumerate(g)
+        if not field.is_zero(c)
+    }
+    return Form._raw(2, field, coeffs, top + shift)
+
+
+def _euclid(a, b, field):
+    """Gcd, up to a unit, of two nonzero polynomials given as coefficient
+    lists with nonzero leading (first) entries."""
+    while len(b) > 1:
+        inv = field.inv(b[0])
+        a = list(a)
+        while len(a) >= len(b):
+            q = field.mul(a[0], inv)
+            for k in range(1, len(b)):
+                a[k] = field.sub(a[k], field.mul(q, b[k]))
+            del a[0]
+            while a and field.is_zero(a[0]):
+                del a[0]
+        if not a:
+            return b
+        a, b = b, a
+    return b
 
 
 def _one(nvars, field):

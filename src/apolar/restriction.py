@@ -11,8 +11,12 @@ multiplying by y_j adds (e+1)^j to the key and a Horner step is one numpy
 broadcast: keys plus shifts, values times coefficients.  Equal keys are
 then merged by a stable sort and np.add.reduceat, reduced mod p, and zero
 sums dropped; keys become exponent tuples once, at the end (Kronecker
-substitution; von zur Gathen-Gerhard, Modern Computer Algebra, 8.4).  Keys
-are int64 while (e+1)^n fits and Python integers beyond, the switch of
+substitution; von zur Gathen-Gerhard, Modern Computer Algebra, 8.4).
+restrict_mod is the one-form call of _restrict, which restricts a list of
+forms of one ring by one H in a single pass: the keys of the i-th form
+carry the prefix i (e+1)^n, which no Horner step reaches, so restricted_rank
+restricts its n+1 forms at once.  Keys are int64 while (e+1)^n times the
+number of forms fits and Python integers beyond, the switch of
 apolarity._int_dtype; values are int64 residues for p < 2^31, where the
 product of two fits, and Python objects over QQ and for larger p.  No table
 is kept between calls, since every call draws a new H.
@@ -30,6 +34,16 @@ The three randomized checks:
   * check_partials_gcd: for F = prod p_j^{e_j} with distinct irreducible
     p_j, the gcd of the first partials of F is prod p_j^{e_j - 1}.
 
+Both "keeps codimension n" and "keeps full rank" are open conditions on H:
+each says that some minor of a matrix whose entries are polynomials in the
+coefficients of H, over a power of the pivot coefficient, is nonzero.  So
+one hyperplane that keeps it proves it for a general H.  Over a small field
+a uniform hyperplane lies on the closed set often enough to mislead a
+single draw, so the suites share one rule: a trial is a witness only if its
+first hyperplane and _REDRAWS more from the trial's own stream all fail,
+and the witness records the first one.  Only trials whose first hyperplane
+fails draw more.
+
 Both gcd questions are one coprimality decision, _coprime, which tries a
 one-sided certificate first: forms whose images on a random plane are
 coprime binary forms, not all zero, are coprime (von zur Gathen-Gerhard,
@@ -40,13 +54,17 @@ question at once: the terms of every form are stacked as rows of binary
 coefficients, each term's linear factors a_v s + b_v t are multiplied in by
 one shifted multiply-add per factor for all terms together, and
 np.add.reduceat sums the rows of each form; values are int64 residues for
-p < 2^31 and Python objects otherwise, as in restrict_mod.  Only when the
-plane test fails does the exact multivariate gcd (form_gcd) run, so
-verdicts never depend on the plane.
+p < 2^31 and Python objects otherwise, as in restrict_mod.  The partials
+question takes its images from the factors instead: the substitution is a
+ring map, so each cofactor's image is a sum of products of the binary
+images of the factors and their partials, and no multivariate product is
+built.  Only when the plane test fails does the exact multivariate gcd
+(form_gcd) run, so verdicts never depend on the plane.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -154,6 +172,14 @@ def restrict_mod(F: Form, H: LinearForm) -> Form:
     """The image of F in the quotient by H: substitute the pivot variable
     and drop it from the ring (indices above the pivot shift down).  Horner's
     rule in the pivot on packed monomial keys; see the module docstring."""
+    return _restrict([F], H)[0]
+
+
+def _restrict(forms, H: LinearForm) -> list:
+    """restrict_mod of every form of a list of one ring, in one Horner pass:
+    the key of a term of the i-th form carries i * base^n as a prefix, which
+    the steps never touch, since they only add exponents below base."""
+    F = forms[0]
     if H.nvars != F.nvars or H.field != F.field:
         raise MixedRingsError(
             f"hyperplane in {H.nvars} vars over {H.field} cannot restrict a "
@@ -162,10 +188,12 @@ def restrict_mod(F: Form, H: LinearForm) -> Form:
     fld = F.field
     piv = H.pivot
     n = F.nvars - 1
-    if F.is_zero:
-        return Form.zero(n, fld)
-    base = F.degree + 1
-    key_type = _int_dtype(base**n)
+    sizes = [len(f.coeffs) for f in forms]
+    if not any(sizes):
+        return [Form.zero(n, fld) for _ in forms]
+    base = max(f.degree for f in forms) + 1
+    span = base**n
+    key_type = _int_dtype(span * len(forms))
     place = [base**j for j in range(n)]
     weights = np.array(place[:piv] + [0] + place[piv:], key_type)
     p = fld.char
@@ -174,10 +202,12 @@ def restrict_mod(F: Form, H: LinearForm) -> Form:
     lin = [i for i, a in enumerate(H.coeffs) if i != piv and not fld.is_zero(a)]
     shifts = weights[lin]
     coeffs = np.array([fld.neg(fld.mul(H.coeffs[i], inv)) for i in lin], val_type)
-    monos = np.array(list(F.coeffs), np.int64)
+    monos = np.array([m for f in forms for m in f.coeffs], np.int64)
     k = monos[:, piv]
     keys = monos.astype(key_type, copy=False) @ weights
-    vals = np.array(list(F.coeffs.values()), val_type)
+    if len(forms) > 1:
+        keys += np.repeat(np.array([i * span for i in range(len(forms))], key_type), sizes)
+    vals = np.array([c for f in forms for c in f.coeffs.values()], val_type)
     top = int(k.max())
     acc_keys, acc_vals = keys[k == top], vals[k == top]
     for j in range(top - 1, -1, -1):
@@ -193,8 +223,16 @@ def restrict_mod(F: Form, H: LinearForm) -> Form:
             p,
         )
     exps = acc_keys[:, None] // np.array(place, key_type) % base
-    out = dict(zip(map(tuple, exps.astype(np.int64).tolist()), acc_vals.tolist()))
-    return Form._raw(n, fld, out, F.degree)
+    terms = zip(map(tuple, exps.astype(np.int64).tolist()), acc_vals.tolist())
+    if len(forms) == 1:
+        return [Form._raw(n, fld, dict(terms), F.degree)]
+    # keys come out grouped by form, in form order: sorted by the last
+    # merge, or stacked in form order when no step ran
+    counts = np.bincount((acc_keys // span).astype(np.int64), minlength=len(forms))
+    return [
+        Form._raw(n, fld, dict(itertools.islice(terms, c)), f.degree)
+        for f, c in zip(forms, counts.tolist())
+    ]
 
 
 def _merge(keys, vals, p):
@@ -291,12 +329,48 @@ def _coprime_on_plane(forms, rng) -> bool:
     return bool(images) and form_gcd(images).degree == 0
 
 
+def _partials_coprime_on_plane(factors, rng) -> bool:
+    """_coprime_on_plane for the cofactors of check_partials_gcd, with
+    their images built from those of the factors and their partials on the
+    same plane: the substitution is a ring map, so
+    img(c_i) = sum_j e_j img(dp_j/dy_i) prod_{k != j} img(p_k)."""
+    ps = [p for p, _ in factors]
+    n, m = ps[0].nvars, len(ps)
+    coeffs = [ps[0].field.random(rng) for _ in range(2 * n)]
+    images = _plane_images(
+        ps + [p.partial(i) for i in range(n) for p in ps], coeffs[:n], coeffs[n:]
+    )
+    rows = [images[m * i : m * (i + 1)] for i in range(1, n + 1)]
+    cofactors = _cofactors(images[:m], rows, [e for _, e in factors])
+    return any(cofactors) and form_gcd(cofactors).degree == 0
+
+
+def _cofactors(ps, partials, mults) -> list:
+    """c_i = sum_j e_j partials[i][j] prod_{k != j} p_k, the product-rule
+    cofactors of check_partials_gcd, for forms or for their plane images."""
+    one = Form.constant(ps[0].nvars, ps[0].field, 1)
+    rests = [
+        math.prod((q for k, q in enumerate(ps) if k != j), start=one)
+        for j in range(len(ps))
+    ]
+    zero = Form.zero(ps[0].nvars, ps[0].field)
+    return [
+        sum((d * rest * e for d, rest, e in zip(row, rests, mults)), zero)
+        for row in partials
+    ]
+
+
 def _coprime(forms) -> bool:
     """Whether the forms have gcd 1: the plane certificate, else form_gcd."""
     return (
         _coprime_on_plane(forms, random.Random(_PLANE_SEED))
         or form_gcd(forms).degree == 0
     )
+
+
+# hyperplanes drawn after a first one that drops the restricted rank or the
+# codimension
+_REDRAWS = 8
 
 
 @dataclass
@@ -348,7 +422,8 @@ class TrialReport:
 
 def codim_drop_check(F: Form, trials: int, seed: int = 0) -> TrialReport:
     """Check h_1(F^H) = n for random H, for F of degree >= 3 essentially
-    involving all of its n+1 >= 3 variables."""
+    involving all of its n+1 >= 3 variables, under the redraw rule of the
+    module docstring."""
     _check_trials(trials)
     if F.is_zero:
         raise ZeroFormError("cannot restrict the zero form")
@@ -363,17 +438,25 @@ def codim_drop_check(F: Form, trials: int, seed: int = 0) -> TrialReport:
         )
     report = TrialReport("codim-drop", trials, seed, F.field.spec)
     for t in range(trials):
-        H = random_linear_form(F.nvars, F.field, trial_rng(seed, t))
-        _codim_drop_trial(F, H, report)
+        _codim_drop_trial(F, trial_rng(seed, t), report)
     return report
 
 
-def _codim_drop_trial(F: Form, H: LinearForm, report: TrialReport):
-    """Restrict F by H; record a witness unless the codimension drops to
-    exactly nvars - 1."""
+def _restricted_codim(F: Form, H: LinearForm) -> int:
     G = restrict_mod(F, H)
-    observed = 0 if G.is_zero else codimension(G)
-    if observed != F.nvars - 1:
+    return 0 if G.is_zero else codimension(G)
+
+
+def _codim_drop_trial(F: Form, rng, report: TrialReport):
+    """Restrict F by a hyperplane H drawn from rng; record a witness, with
+    H, unless the codimension stays nvars - 1 under H or under one of
+    _REDRAWS more hyperplanes drawn from rng."""
+    H = random_linear_form(F.nvars, F.field, rng)
+    observed = _restricted_codim(F, H)
+    if observed != F.nvars - 1 and all(
+        _restricted_codim(F, random_linear_form(F.nvars, F.field, rng)) != F.nvars - 1
+        for _ in range(_REDRAWS)
+    ):
         report.witnesses.append(Witness(str(F), F.nvars, str(H), observed))
 
 
@@ -414,8 +497,7 @@ def restricted_rank(forms, H: LinearForm) -> int:
         raise PreconditionError("forms are linearly dependent")
     if not _coprime(forms):
         raise PreconditionError("forms share a nonconstant common divisor")
-    restricted = [restrict_mod(f, H) for f in forms]
-    keep = [g for g in restricted if not g.is_zero]
+    keep = [g for g in _restrict(forms, H) if not g.is_zero]
     if not keep:
         return 0
     return _span_rank(keep)
@@ -439,10 +521,12 @@ def check_partials_gcd(factors) -> bool:
     By the product rule dF/dy_i = E * c_i exactly, in every characteristic,
     where E = prod p_j^{e_j - 1} and the cofactor
     c_i = sum_j e_j (dp_j/dy_i) prod_{k != j} p_k.  So the gcd of the
-    partials is E exactly when the cofactors are coprime, which _coprime
-    decides.  A multiplicity divisible by the characteristic is refused
-    with ValueError: the partials of p^e then vanish and E is not their
-    gcd."""
+    partials is E exactly when the cofactors are coprime.  Their plane
+    images, built from the factors' (_partials_coprime_on_plane), certify
+    that first; only when they do not are the cofactors built and their
+    exact form_gcd taken.  A multiplicity divisible by the characteristic
+    is refused with ValueError: the partials of p^e then vanish and E is
+    not their gcd."""
     factors = list(factors)
     if not factors:
         raise ValueError("empty factor list")
@@ -458,17 +542,12 @@ def check_partials_gcd(factors) -> bool:
                 f"multiplicity {e} is divisible by the characteristic "
                 f"{base.field.char}"
             )
-    one = Form.constant(base.nvars, base.field, 1)
-    zero = Form.zero(base.nvars, base.field)
-    rests = [
-        math.prod((q for k, (q, _) in enumerate(factors) if k != j), start=one)
-        for j in range(len(factors))
-    ]
-    cofactors = [
-        sum((p.partial(i) * rest * e for (p, e), rest in zip(factors, rests)), zero)
-        for i in range(base.nvars)
-    ]
-    return _coprime(cofactors)
+    if _partials_coprime_on_plane(factors, random.Random(_PLANE_SEED)):
+        return True
+    ps = [p for p, _ in factors]
+    partials = [[p.partial(i) for p in ps] for i in range(base.nvars)]
+    cofactors = _cofactors(ps, partials, [e for _, e in factors])
+    return form_gcd(cofactors).degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +581,8 @@ def run_codim_drop_suite(
     trials: int, seed: int = 0, fld=DEFAULT_FIELD
 ) -> TrialReport:
     """Random (F, H) pairs: degree in 3..5, codimension 3..10, mixed
-    dense/sparse support; expects h_1(F^H) = n every time."""
+    dense/sparse support; expects h_1(F^H) = n every time, under the
+    redraw rule of the module docstring."""
     _check_trials(trials)
     report = TrialReport("codim-drop", trials, seed, fld.spec)
     for t in range(trials):
@@ -511,26 +591,15 @@ def run_codim_drop_suite(
         nvars = rng.randrange(3, 11)
         dense = rng.random() < 0.5
         F = _random_full_codim_form(nvars, degree, fld, rng, dense)
-        _codim_drop_trial(F, random_linear_form(nvars, fld, rng), report)
+        _codim_drop_trial(F, rng, report)
     return report
-
-
-# hyperplanes drawn after a first one that drops the restricted rank
-_REDRAWS = 8
 
 
 def run_restricted_rank_suite(
     trials: int, seed: int = 0, fld=DEFAULT_FIELD
 ) -> TrialReport:
     """Random independent coprime tuples; expects full rank after a general
-    restriction.
-
-    Full rank is an open condition on H, so one hyperplane that keeps it
-    proves it for a general H.  A tuple is a witness only if its first
-    hyperplane and up to _REDRAWS more from the trial's own stream all drop
-    the rank: over a small field a uniform hyperplane is special often
-    enough to mislead a single draw.  Only trials whose first hyperplane
-    drops the rank draw more, and a witness records that first one."""
+    restriction, under the redraw rule of the module docstring."""
     _check_trials(trials)
     report = TrialReport("restricted-rank", trials, seed, fld.spec)
     for t in range(trials):

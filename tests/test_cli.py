@@ -239,6 +239,15 @@ def test_check_lemmas_small_field_redraws_rank_dropping_hyperplanes(
     assert "restricted-rank: 1 trials, 0 failures" in out
 
 
+def test_check_lemmas_small_field_redraws_codim_dropping_hyperplanes(capsys):
+    # trial 11's first hyperplane drops the codimension to 1; a later one
+    # keeps 2
+    argv = ["check-lemmas", "--field", "p:7", "--trials", "30", "--seed", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert "codim-drop: 30 trials, 0 failures" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -23,7 +23,7 @@ from apolar import (
     random_form,
     trial_rng,
 )
-from apolar.poly import MAX_NVARS, grlex_key
+from apolar.poly import MAX_NVARS, _gcd2, grlex_key
 
 
 def test_monomials_of_degree_count_and_order():
@@ -195,6 +195,35 @@ def test_gcd_over_prime_field():
     M = parse_form("y0 + 5*y1", 2, fld)
     G = form_gcd([L**2 * M, L * M**2])
     assert G == (L * M).monic()
+
+
+GCD_FIELDS = [QQ, GF(7), DEFAULT_FIELD, GF(2**61 - 1)]
+
+
+@pytest.mark.parametrize("fld", GCD_FIELDS, ids=["q", "p:7", "p:2^31-1", "p:2^61-1"])
+def test_binary_gcd_matches_subresultant_path(fld):
+    # the binary path runs Euclid on f(y0, 1); _gcd2 is the subresultant
+    # path that three or more variables keep
+    for t in range(60):
+        rng = trial_rng(8, 4 * t + GCD_FIELDS.index(fld))
+        common = random_form(2, rng.randrange(0, 4), fld, rng, terms=rng.randrange(1, 4))
+        power = Form.monomial(2, fld, (0, rng.choice([0, 0, 1, 3])))
+        forms = []
+        for _ in range(rng.randrange(1, 4)):
+            f = random_form(2, rng.randrange(0, 4), fld, rng, terms=rng.randrange(1, 4))
+            if rng.random() < 0.2:
+                f = Form.monomial(2, fld, (0, rng.randrange(0, 3)))
+            forms.append(f * common * power if rng.random() < 0.8 else f)
+        if rng.random() < 0.3:
+            forms.insert(rng.randrange(len(forms) + 1), Form.zero(2, fld))
+        if rng.random() < 0.1:
+            forms.append(Form.constant(2, fld, fld.random(rng) or fld.one))
+        want = Form.zero(2, fld)
+        for f in forms:
+            want = _gcd2(want, f)
+        got = form_gcd(forms)
+        assert got == want.monic(), forms
+        assert all(type(c) is type(fld.one) for c in got.coeffs.values())
 
 
 def test_random_form_support_size_and_determinism():

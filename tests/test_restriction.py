@@ -205,6 +205,63 @@ def test_restriction_of_sparse_forms_in_many_variables(fld):
         assert restrict_mod(F, H) == _expand_restriction(F, H)
 
 
+@pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
+def test_batched_restriction_matches_each_form(fld):
+    rng = trial_rng(75, RESTRICTION_FIELDS.index(fld))
+    for _ in range(10):
+        nv = rng.randrange(2, 6)
+        H = _hyperplane(nv, fld, rng, rng.randrange(nv))
+        d = rng.randrange(0, 6)
+        forms = [
+            _random_terms_form(nv, d, fld, rng, rng.choice([None, 1, 3, 8]))
+            for _ in range(rng.randrange(1, 5))
+        ]
+        # forms that restrict to zero: zero itself and multiples of H
+        forms.insert(rng.randrange(len(forms) + 1), Form.zero(nv, fld))
+        if d:
+            forms.insert(rng.randrange(len(forms) + 1), H.as_form() ** d)
+        got = restriction._restrict(forms, H)
+        assert got == [_expand_restriction(f, H) for f in forms]
+        assert [g.degree for g in got] == [f.degree if g else -1 for f, g in zip(forms, got)]
+
+
+@pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
+def test_batched_restriction_with_object_keys(fld):
+    # one form's keys fit int64 (4^31 < 2^63), three forms' prefixed keys
+    # do not, so the batch packs Python integers
+    nv, d = 32, 3
+    assert (d + 1) ** (nv - 1) < 2**63 <= 3 * (d + 1) ** (nv - 1)
+    rng = trial_rng(76, RESTRICTION_FIELDS.index(fld))
+    for piv in (0, 13, 31):
+        forms = []
+        for _ in range(3):
+            terms = []
+            for k in range(d + 1):
+                mono = [0] * nv
+                mono[piv] = k
+                for _ in range(d - k):
+                    mono[rng.randrange(nv)] += 1
+                terms.append((mono, _scalar(fld, rng) or fld.one))
+            forms.append(Form(nv, fld, terms))
+        H = _hyperplane(nv, fld, rng, piv, zeros=0.8)
+        assert restriction._restrict(forms, H) == [_expand_restriction(f, H) for f in forms]
+
+
+def test_restricted_rank_restricts_in_one_batch(monkeypatch):
+    calls = []
+    batch = restriction._restrict
+
+    def recording(forms, H):
+        calls.append(len(forms))
+        return batch(forms, H)
+
+    monkeypatch.setattr(restriction, "_restrict", recording)
+    rng = trial_rng(31, 0)
+    forms = [random_form(4, 3, DEFAULT_FIELD, rng) for _ in range(4)]
+    assert restricted_rank(forms, random_linear_form(4, DEFAULT_FIELD, rng)) == 4
+    assert calls == [4]
+
+
 def test_restriction_multiplies_no_forms(monkeypatch):
     fld = DEFAULT_FIELD
     F = random_form(5, 4, fld, trial_rng(74, 0))
@@ -480,7 +537,55 @@ def test_plane_fallback_keeps_reports(monkeypatch, capsys):
 
     certified = reports()
     monkeypatch.setattr(restriction, "_coprime_on_plane", lambda forms, rng: False)
+    monkeypatch.setattr(
+        restriction, "_partials_coprime_on_plane", lambda factors, rng: False
+    )
     assert reports() == certified
+
+
+def _random_factors(nvars, fld, rng):
+    """A factor list for check_partials_gcd, sometimes with a repeated
+    factor up to a scalar, which makes the cofactors share it."""
+    factors = []
+    for _ in range(rng.randrange(1, 4)):
+        p = random_form(nvars, rng.choice([1, 1, 2]), fld, rng, terms=rng.randrange(1, 4))
+        factors.append((p, rng.randrange(1, min(4, fld.char or 4))))
+    if rng.random() < 0.3:
+        p, _ = rng.choice(factors)
+        factors.append((p.scale(fld.from_int(2)), 1))
+    return factors
+
+
+@pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
+def test_partials_certificate_matches_forced_fallback(monkeypatch, fld):
+    rng = trial_rng(64, RESTRICTION_FIELDS.index(fld))
+    cases = [_random_factors(rng.randrange(3, 5), fld, rng) for _ in range(20)]
+    verdicts = [check_partials_gcd(f) for f in cases]
+    assert True in verdicts and False in verdicts
+    monkeypatch.setattr(
+        restriction, "_partials_coprime_on_plane", lambda factors, rng: False
+    )
+    assert [check_partials_gcd(f) for f in cases] == verdicts
+
+
+@pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
+def test_certified_partials_multiply_only_binary_forms(monkeypatch, fld):
+    mul = Form.__mul__
+
+    def binary_only(f, g):
+        if f.nvars > 2:
+            raise AssertionError("multiplied forms in three or more variables")
+        return mul(f, g)
+
+    rng = trial_rng(65, RESTRICTION_FIELDS.index(fld))
+    cases = [_random_factors(rng.randrange(3, 5), fld, rng) for _ in range(12)]
+    certified = [
+        f for f in cases
+        if restriction._partials_coprime_on_plane(f, random.Random(restriction._PLANE_SEED))
+    ]
+    assert certified
+    monkeypatch.setattr(Form, "__mul__", binary_only)
+    assert all(check_partials_gcd(f) for f in certified)
 
 
 def test_suites_reach_form_gcd_only_on_binary_forms(monkeypatch):
@@ -507,6 +612,24 @@ def test_restricted_rank_witness_needs_every_hyperplane_to_drop_rank(monkeypatch
     monkeypatch.setattr(restriction, "restricted_rank", always_drops)
     rep = run_restricted_rank_suite(1, seed=0)
     # the first hyperplane, then eight redraws from the trial's stream
+    assert len(hyperplanes) == 9 and len(set(hyperplanes)) == 9
+    assert [w.hyperplane for w in rep.witnesses] == hyperplanes[:1]
+
+
+def test_codim_drop_witness_needs_every_hyperplane_to_drop_codim(monkeypatch):
+    hyperplanes = []
+
+    def always_drops(F, H):
+        hyperplanes.append(str(H))
+        return F.nvars - 2
+
+    monkeypatch.setattr(restriction, "_restricted_codim", always_drops)
+    rep = run_codim_drop_suite(1, seed=0)
+    # the first hyperplane, then eight redraws from the trial's stream
+    assert len(hyperplanes) == 9 and len(set(hyperplanes)) == 9
+    assert [w.hyperplane for w in rep.witnesses] == hyperplanes[:1]
+    hyperplanes.clear()
+    rep = codim_drop_check(power_sum_form(4, 3, DEFAULT_FIELD), trials=1, seed=0)
     assert len(hyperplanes) == 9 and len(set(hyperplanes)) == 9
     assert [w.hyperplane for w in rep.witnesses] == hyperplanes[:1]
 
