@@ -39,10 +39,10 @@ each says that some minor of a matrix whose entries are polynomials in the
 coefficients of H, over a power of the pivot coefficient, is nonzero.  So
 one hyperplane that keeps it proves it for a general H.  Over a small field
 a uniform hyperplane lies on the closed set often enough to mislead a
-single draw, so the suites share one rule: a trial is a witness only if its
-first hyperplane and _REDRAWS more from the trial's own stream all fail,
-and the witness records the first one.  Only trials whose first hyperplane
-fails draw more.
+single draw, so the suites share one rule, _is_witness: a trial is a
+witness only if its first hyperplane and _REDRAWS more from the trial's own
+stream all fail, and the witness records the first one.  Only trials whose
+first hyperplane fails draw more.
 
 Both gcd questions are one coprimality decision, _coprime, which tries a
 one-sided certificate first: forms whose images on a random plane are
@@ -57,9 +57,10 @@ np.add.reduceat sums the rows of each form; values are int64 residues for
 p < 2^31 and Python objects otherwise, as in restrict_mod.  The partials
 question takes its images from the factors instead: the substitution is a
 ring map, so each cofactor's image is a sum of products of the binary
-images of the factors and their partials, and no multivariate product is
-built.  Only when the plane test fails does the exact multivariate gcd
-(form_gcd) run, so verdicts never depend on the plane.
+images of the factors and their partials (a step of _coprime_on_plane),
+and no multivariate product is built.  Only when the plane test fails does
+the exact multivariate gcd (form_gcd) run, so verdicts never depend on the
+plane.
 """
 
 from __future__ import annotations
@@ -205,8 +206,7 @@ def _restrict(forms, H: LinearForm) -> list:
     monos = np.array([m for f in forms for m in f.coeffs], np.int64)
     k = monos[:, piv]
     keys = monos.astype(key_type, copy=False) @ weights
-    if len(forms) > 1:
-        keys += np.repeat(np.array([i * span for i in range(len(forms))], key_type), sizes)
+    keys += np.repeat(np.array([i * span for i in range(len(forms))], key_type), sizes)
     vals = np.array([c for f in forms for c in f.coeffs.values()], val_type)
     top = int(k.max())
     acc_keys, acc_vals = keys[k == top], vals[k == top]
@@ -224,8 +224,6 @@ def _restrict(forms, H: LinearForm) -> list:
         )
     exps = acc_keys[:, None] // np.array(place, key_type) % base
     terms = zip(map(tuple, exps.astype(np.int64).tolist()), acc_vals.tolist())
-    if len(forms) == 1:
-        return [Form._raw(n, fld, dict(terms), F.degree)]
     # keys come out grouped by form, in form order: sorted by the last
     # merge, or stacked in form order when no step ran
     counts = np.bincount((acc_keys // span).astype(np.int64), minlength=len(forms))
@@ -312,10 +310,12 @@ def _plane_images(forms, a, b) -> list:
     return out
 
 
-def _coprime_on_plane(forms, rng) -> bool:
+def _coprime_on_plane(forms, rng, step=None) -> bool:
     """True only if the forms are coprime: on a random plane, the
     substitution y_k = a_k s + b_k t, they become binary forms, not all
-    zero, with gcd 1.  False proves nothing.
+    zero, with gcd 1.  False proves nothing.  With a step, the images
+    tested are step(images of forms), which must be the images of the
+    forms in question (check_partials_gcd's cofactors).
 
     This holds for any linear substitution, degenerate planes included:
     it is a ring map that keeps degrees, so a common factor g of degree k
@@ -325,24 +325,10 @@ def _coprime_on_plane(forms, rng) -> bool:
     n = forms[0].nvars
     coeffs = [forms[0].field.random(rng) for _ in range(2 * n)]
     images = _plane_images(forms, coeffs[:n], coeffs[n:])
+    if step:
+        images = step(images)
     images = [g for g in images if not g.is_zero]
     return bool(images) and form_gcd(images).degree == 0
-
-
-def _partials_coprime_on_plane(factors, rng) -> bool:
-    """_coprime_on_plane for the cofactors of check_partials_gcd, with
-    their images built from those of the factors and their partials on the
-    same plane: the substitution is a ring map, so
-    img(c_i) = sum_j e_j img(dp_j/dy_i) prod_{k != j} img(p_k)."""
-    ps = [p for p, _ in factors]
-    n, m = ps[0].nvars, len(ps)
-    coeffs = [ps[0].field.random(rng) for _ in range(2 * n)]
-    images = _plane_images(
-        ps + [p.partial(i) for i in range(n) for p in ps], coeffs[:n], coeffs[n:]
-    )
-    rows = [images[m * i : m * (i + 1)] for i in range(1, n + 1)]
-    cofactors = _cofactors(images[:m], rows, [e for _, e in factors])
-    return any(cofactors) and form_gcd(cofactors).degree == 0
 
 
 def _cofactors(ps, partials, mults) -> list:
@@ -447,16 +433,22 @@ def _restricted_codim(F: Form, H: LinearForm) -> int:
     return 0 if G.is_zero else codimension(G)
 
 
+def _is_witness(value, H, observed, target, rng) -> bool:
+    """The redraw rule of the module docstring: H, whose value is observed,
+    witnesses a failure only if observed != target and value(H') != target
+    for _REDRAWS more hyperplanes H' drawn from rng."""
+    return observed != target and all(
+        value(random_linear_form(H.nvars, H.field, rng)) != target
+        for _ in range(_REDRAWS)
+    )
+
+
 def _codim_drop_trial(F: Form, rng, report: TrialReport):
     """Restrict F by a hyperplane H drawn from rng; record a witness, with
-    H, unless the codimension stays nvars - 1 under H or under one of
-    _REDRAWS more hyperplanes drawn from rng."""
+    H, if _is_witness finds that the codimension falls below nvars - 1."""
     H = random_linear_form(F.nvars, F.field, rng)
     observed = _restricted_codim(F, H)
-    if observed != F.nvars - 1 and all(
-        _restricted_codim(F, random_linear_form(F.nvars, F.field, rng)) != F.nvars - 1
-        for _ in range(_REDRAWS)
-    ):
+    if _is_witness(lambda G: _restricted_codim(F, G), H, observed, F.nvars - 1, rng):
         report.witnesses.append(Witness(str(F), F.nvars, str(H), observed))
 
 
@@ -522,11 +514,11 @@ def check_partials_gcd(factors) -> bool:
     where E = prod p_j^{e_j - 1} and the cofactor
     c_i = sum_j e_j (dp_j/dy_i) prod_{k != j} p_k.  So the gcd of the
     partials is E exactly when the cofactors are coprime.  Their plane
-    images, built from the factors' (_partials_coprime_on_plane), certify
-    that first; only when they do not are the cofactors built and their
-    exact form_gcd taken.  A multiplicity divisible by the characteristic
-    is refused with ValueError: the partials of p^e then vanish and E is
-    not their gcd."""
+    images, built from those of the factors and their partials
+    (_coprime_on_plane with a step), certify that first; only when they do
+    not are the cofactors built and their exact form_gcd taken.  A
+    multiplicity divisible by the characteristic is refused with ValueError:
+    the partials of p^e then vanish and E is not their gcd."""
     factors = list(factors)
     if not factors:
         raise ValueError("empty factor list")
@@ -542,12 +534,23 @@ def check_partials_gcd(factors) -> bool:
                 f"multiplicity {e} is divisible by the characteristic "
                 f"{base.field.char}"
             )
-    if _partials_coprime_on_plane(factors, random.Random(_PLANE_SEED)):
-        return True
     ps = [p for p, _ in factors]
+    mults = [e for _, e in factors]
     partials = [[p.partial(i) for p in ps] for i in range(base.nvars)]
-    cofactors = _cofactors(ps, partials, [e for _, e in factors])
-    return form_gcd(cofactors).degree == 0
+    m = len(ps)
+
+    def cofactor_images(images):
+        # the substitution is a ring map: img(c_i) is _cofactors of images
+        rows = [images[m * i : m * (i + 1)] for i in range(1, base.nvars + 1)]
+        return _cofactors(images[:m], rows, mults)
+
+    if _coprime_on_plane(
+        ps + [q for row in partials for q in row],
+        random.Random(_PLANE_SEED),
+        cofactor_images,
+    ):
+        return True
+    return form_gcd(_cofactors(ps, partials, mults)).degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +619,7 @@ def run_restricted_rank_suite(
                 continue
         else:
             raise RuntimeError("could not sample an admissible tuple")
-        if observed != nvars and all(
-            restricted_rank(forms, random_linear_form(nvars, fld, rng)) != nvars
-            for _ in range(_REDRAWS)
-        ):
+        if _is_witness(lambda G: restricted_rank(forms, G), H, observed, nvars, rng):
             report.witnesses.append(
                 Witness(
                     "; ".join(str(f) for f in forms), nvars, str(H), observed

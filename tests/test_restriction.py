@@ -536,10 +536,7 @@ def test_plane_fallback_keeps_reports(monkeypatch, capsys):
         return out
 
     certified = reports()
-    monkeypatch.setattr(restriction, "_coprime_on_plane", lambda forms, rng: False)
-    monkeypatch.setattr(
-        restriction, "_partials_coprime_on_plane", lambda factors, rng: False
-    )
+    monkeypatch.setattr(restriction, "_coprime_on_plane", lambda *args: False)
     assert reports() == certified
 
 
@@ -562,10 +559,33 @@ def test_partials_certificate_matches_forced_fallback(monkeypatch, fld):
     cases = [_random_factors(rng.randrange(3, 5), fld, rng) for _ in range(20)]
     verdicts = [check_partials_gcd(f) for f in cases]
     assert True in verdicts and False in verdicts
-    monkeypatch.setattr(
-        restriction, "_partials_coprime_on_plane", lambda factors, rng: False
-    )
+    monkeypatch.setattr(restriction, "_coprime_on_plane", lambda *args: False)
     assert [check_partials_gcd(f) for f in cases] == verdicts
+
+
+@pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
+def test_partials_step_gives_the_cofactors_plane_images(monkeypatch, fld):
+    # the substitution is a ring map, so the step applied to the images of
+    # the factors and their partials must give the images of the cofactors
+    calls = []
+    monkeypatch.setattr(
+        restriction,
+        "_coprime_on_plane",
+        lambda forms, rng, step: calls.append((forms, step)) or True,
+    )
+    rng = trial_rng(66, RESTRICTION_FIELDS.index(fld))
+    for _ in range(10):
+        factors = _random_factors(rng.randrange(3, 5), fld, rng)
+        check_partials_gcd(factors)
+        forms, step = calls.pop()
+        ps = [p for p, _ in factors]
+        nv = ps[0].nvars
+        partials = [[p.partial(i) for p in ps] for i in range(nv)]
+        cofactors = restriction._cofactors(ps, partials, [e for _, e in factors])
+        a = [fld.random(rng) for _ in range(nv)]
+        b = [fld.random(rng) for _ in range(nv)]
+        images = restriction._plane_images(forms, a, b)
+        assert step(images) == restriction._plane_images(cofactors, a, b)
 
 
 @pytest.mark.parametrize("fld", RESTRICTION_FIELDS, ids=RESTRICTION_IDS)
@@ -577,12 +597,22 @@ def test_certified_partials_multiply_only_binary_forms(monkeypatch, fld):
             raise AssertionError("multiplied forms in three or more variables")
         return mul(f, g)
 
+    plane = restriction._coprime_on_plane
+
+    def certifies(factors):
+        held = []
+        with monkeypatch.context() as m:
+            m.setattr(
+                restriction,
+                "_coprime_on_plane",
+                lambda *args: held.append(plane(*args)) or held[-1],
+            )
+            check_partials_gcd(factors)
+        return held == [True]
+
     rng = trial_rng(65, RESTRICTION_FIELDS.index(fld))
     cases = [_random_factors(rng.randrange(3, 5), fld, rng) for _ in range(12)]
-    certified = [
-        f for f in cases
-        if restriction._partials_coprime_on_plane(f, random.Random(restriction._PLANE_SEED))
-    ]
+    certified = [f for f in cases if certifies(f)]
     assert certified
     monkeypatch.setattr(Form, "__mul__", binary_only)
     assert all(check_partials_gcd(f) for f in certified)
