@@ -41,9 +41,9 @@ neither removes anything.  Both are exact in every field:
 The rows (columns) removed by one step each own a column (row) where all
 other rows (columns) vanish, so they are independent of each other too and
 each adds one.  Every row and column carries the index of its form, so
-`np.bincount` gives the peeled rank per form, and only what is left of each
-goes to `linalg.matrix_rank`, as a list of lists with no more rows than
-columns.
+`np.bincount` gives the peeled rank per form.  The lines left are numbered
+once per axis for the whole list, and what is left of each form goes to
+`linalg.matrix_rank` as a list of lists.
 """
 
 from __future__ import annotations
@@ -108,18 +108,6 @@ def _colex_table(nvars: int, degree: int):
     ]
     dtype = _int_dtype(2 * _monomial_count(nvars, degree))
     return np.array(table, dtype=dtype).reshape(nvars, degree + 1)
-
-
-def _compact(keys):
-    """Ids 0..k-1 for the k distinct keys, in key order, and k."""
-    order = keys.argsort()
-    ordered = keys[order]
-    new = np.empty(len(keys), bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    ids = np.empty(len(keys), np.intp)
-    ids[order] = np.add.accumulate(new, dtype=np.intp) - 1
-    return ids, int(np.count_nonzero(new))
 
 
 # the assembly's arrays grow with the terms of a batch; a batch holds at
@@ -205,19 +193,24 @@ def _assemble(terms: _Terms, i: int):
     first = terms.first
     # choose the operator's positions one at a time, ascending: a position
     # follows the previous one directly or starts a new variable, and
-    # leaves room for the positions still to choose
+    # leaves room for the positions still to choose, so it is at most e - i + 1
+    # past the previous one; back[j] maps step j + 1's choices to step j's
     if i:
         term, q = first[: t * e].reshape(t, e)[:, : e - i + 1].nonzero()
-        picks = [q]
+        picks, back = [q], []
     else:
-        term, picks = np.arange(t), []
+        term, picks, back = np.arange(t), [], []
     for j in range(1, i):
-        steps = np.arange(1, e)
+        steps = np.arange(1, e - i + 2)
         cand = picks[-1][:, None] + steps
         ok = (cand <= e - i + j) & (first[(term * e)[:, None] + cand] | (steps == 1))
         s, d = ok.nonzero()
         term = term[s]
-        picks = [q[s] for q in picks] + [cand[s, d]]
+        back.append(s)
+        picks.append(cand[s, d])
+    for j in range(len(back) - 1, 0, -1):
+        back[j - 1] = back[j - 1][back[j]]
+    picks[:-1] = [q[s] for q, s in zip(picks, back)]
     base = term * e
     values = terms.coeffs[term]
     for q in picks:
@@ -263,13 +256,20 @@ def _ranks(field, owner, rows, cols, values, count: int) -> list[int]:
     that no two matrices share and whose order puts the matrices in order,
     and the value.  Peels as the module docstring says, then ranks what is
     left of each matrix with linalg.matrix_rank."""
-    ids, sizes, owners = [], [], []  # per axis: each entry's line, each line's matrix
+    ids, owners = [], []  # per axis: each entry's line, each line's matrix
     for keys in (rows, cols):
-        line, size = _compact(keys)
+        # ids 0..size-1 for the distinct keys, in key order
+        order = keys.argsort()
+        ordered = keys[order]
+        new = np.empty(len(keys), bool)
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        line = np.empty(len(keys), np.intp)
+        line[order] = np.add.accumulate(new, dtype=np.intp) - 1
+        size = int(np.count_nonzero(new))
         at = np.empty(size, np.intp)
         at[line] = owner
         ids.append(line)
-        sizes.append(size)
         owners.append(at)
     ranks = np.zeros(count, np.intp)
     live = np.arange(len(values))
@@ -278,9 +278,9 @@ def _ranks(field, owner, rows, cols, values, count: int) -> list[int]:
     axis = idle = 0
     while idle < 2 and len(live):
         line, cross = ids[axis], ids[1 - axis]
-        single = np.bincount(cross, minlength=sizes[1 - axis]) == 1
+        single = np.bincount(cross, minlength=len(owners[1 - axis])) == 1
         if single.any():
-            out = np.zeros(sizes[axis], bool)
+            out = np.zeros(len(owners[axis]), bool)
             out[line[single[cross]]] = True
             ranks += np.bincount(owners[axis][out], minlength=count)
             keep = ~out[line]
@@ -293,15 +293,21 @@ def _ranks(field, owner, rows, cols, values, count: int) -> list[int]:
     ranks = ranks.tolist()
     if not len(live):
         return ranks
+    # number the leftover lines of each axis once, in key order; a matrix's
+    # lines are consecutive, so its local ids are these minus its first
+    owner = owner[live]
+    local, shape = [], []
+    for line, at in zip(ids, owners):
+        left = np.zeros(len(at), bool)
+        left[line] = True
+        size = np.bincount(at[left], minlength=count)
+        local.append(left.cumsum()[line] - 1 - (size.cumsum() - size)[owner])
+        shape.append(size.tolist())
     start = 0
-    for f, end in enumerate(np.searchsorted(owner[live], np.arange(1, count + 1)).tolist()):
+    for f, end in enumerate(np.searchsorted(owner, np.arange(1, count + 1)).tolist()):
         if end > start:
-            r, m = _compact(ids[0][start:end])
-            c, k = _compact(ids[1][start:end])
-            A = np.zeros((m, k), values.dtype)
-            A[r, c] = values[live[start:end]]
-            if m > k:
-                A = A.T
+            A = np.zeros((shape[0][f], shape[1][f]), values.dtype)
+            A[local[0][start:end], local[1][start:end]] = values[live[start:end]]
             ranks[f] += linalg.matrix_rank(A.tolist(), field)
         start = end
     return ranks

@@ -325,11 +325,8 @@ def run(argv=None) -> int:
         return 2
     try:
         body, failed = _DISPATCH[args.command](args, fld)
-    except (CorruptCacheError, OSError) as exc:
-        # an unreadable or unwritable --cache path is a usage error
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (CorruptCacheError, OSError, ValueError, ZeroDivisionError) as exc:
+        # an unreadable or unwritable --cache path is a usage error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = {

@@ -5,23 +5,32 @@ Each step has one job.  Catalecticants are pruned before they get here:
 peels without elimination every row that holds the only entry of some
 column and every column that holds the only entry of some row, until
 neither is left, and hands `matrix_rank` the rest as a list of lists of
-integers with no more rows than columns.  `sparse_rank` materializes
-only the rows and columns of its dict that hold an entry; `matrix_rank`
-drops zero rows, eliminates whichever orientation has fewer rows and picks
-the kernel by field; the kernels only eliminate.
+integers.  `sparse_rank` materializes only the rows and columns of its dict
+that hold an entry; `matrix_rank` drops zero rows, eliminates whichever
+orientation has fewer rows and picks the kernel, which only eliminates.
 
-Over GF(p) the scalars are residues in [0, p) and the elimination is
-vectorized row reduction, on int64 when p*p fits below 2^62 (a product of
-two residues plus one subtraction cannot overflow) and on Python integers
-in an object array otherwise.  Over the rationals rows
-are cleared of denominators, and the integer matrix is first ranked mod the
-fixed prime 2^31 - 1 (on the int64 path).  That rank never exceeds the
-rank over QQ, since a minor that is nonzero mod p is a nonzero integer, and
-no rank exceeds min(m, n); so when the rank mod p reaches min(m, n) it is
-the rank over QQ (the one-sided modular method of von zur Gathen-Gerhard,
-Modern Computer Algebra).  Otherwise fraction-free Bareiss elimination
-decides, so every intermediate value is an exact integer minor.  A prime
-that divides a minor costs time, never correctness.
+Over GF(p) the scalars are residues in [0, p), in int64 when p*p < 2^62
+and Python integers in an object array otherwise.  Row i pivots on its
+first nonzero column c, a = A[i, c], and each later row k nonzero in column
+c (a hot row) becomes (a*row_k - A[k, c]*row_i) mod p: a unit times row_k
+minus a multiple of row_i, so the rank holds and no inverse is taken.
+Every later row then vanishes in column c, so the nonzero rows end with
+distinct pivot columns and the rank is their count; a row that has become
+zero is skipped.  Each product is at most (p-1)^2 < 2^62, so the int64
+difference is exact.  When most later rows are hot the whole block is
+updated in place, a cold row only scaled by a, in fewer numpy calls.
+
+Over the rationals rows are cleared of denominators, and the integer
+matrix is first ranked mod the fixed prime 2^31 - 1 (on the int64 path).
+That rank never exceeds the rank over QQ, since a minor that is nonzero
+mod p is a nonzero integer, and no rank exceeds min(m, n); so when the
+rank mod p reaches min(m, n) it is the rank over QQ (the one-sided modular
+method of von zur Gathen-Gerhard, Modern Computer Algebra).  Otherwise
+fraction-free Bareiss elimination decides: the same row steps over the
+integers, but every later row is updated and divided by the previous
+pivot.  By Sylvester's identity each entry is then a minor of the input,
+so the division is exact and every value an integer.  A prime that
+divides a minor costs time, never correctness.
 """
 
 from __future__ import annotations
@@ -63,36 +72,13 @@ def matrix_rank(rows, field) -> int:
 
 def rank_mod_p(rows, p: int) -> int:
     """Rank of a nonempty matrix of residues in [0, p)."""
-    A = np.array(rows, dtype=np.int64 if p * p < _INT64_SAFE else object)
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r, c:] = A[r, c:] * inv % p
-        f = A[r + 1 :, c]
-        hot = np.nonzero(f)[0]
-        if hot.size:
-            block = A[r + 1 :, c:]
-            block[hot] = (block[hot] - f[hot, None] * A[r, c:][None, :]) % p
-        r += 1
-    return r
+    dtype = np.int64 if p * p < _INT64_SAFE else object
+    return _row_pivot_rank(np.array(rows, dtype=dtype), p)
 
 
 def rank_rational(rows) -> int:
-    """Rank of a nonempty matrix of rationals (Fraction or int).
-
-    The rows are cleared of denominators.  If the integer matrix has rank
-    min(m, n) mod _CERT_PRIME, that is its rank over QQ: the rank mod p is
-    at most the rank over QQ, which is at most min(m, n).  Otherwise Bareiss
-    elimination computes the rank exactly."""
+    """Rank of a nonempty matrix of rationals (Fraction or int): the
+    full-rank certificate mod _CERT_PRIME, else Bareiss (module docstring)."""
     A = []
     for row in rows:
         lcm = math.lcm(*(v.denominator for v in row))
@@ -103,30 +89,34 @@ def rank_rational(rows) -> int:
     return _bareiss_rank(A)
 
 
-def _bareiss_rank(A) -> int:
-    """Rank of a nonempty integer matrix by fraction-free Bareiss
-    elimination; A is overwritten."""
-    m, n = len(A), len(A[0])
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if A[i][c]), None)
-        if piv is None:
+def _bareiss_rank(rows) -> int:
+    """Rank of a nonempty integer matrix by fraction-free Bareiss elimination."""
+    return _row_pivot_rank(np.array(rows, dtype=object), None)
+
+
+def _row_pivot_rank(A, p) -> int:
+    """Rank of the array A, which is overwritten, by the row-pivot elimination
+    of the module docstring: mod p, or over the integers when p is None."""
+    r, prev = 0, 1
+    for i in range(len(A)):
+        row = A[i]
+        nz = row.nonzero()[0]
+        if not nz.size:
             continue
-        A[r], A[piv] = A[piv], A[r]
-        pv = A[r][c]
-        for i in range(r + 1, m):
-            vi = A[i][c]
-            row_i, row_r = A[i], A[r]
-            for j in range(c + 1, n):
-                num = pv * row_i[j] - vi * row_r[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("inexact Bareiss division")
-                row_i[j] = q
-            row_i[c] = 0
-        prev = pv
         r += 1
+        a = row[nz[0]]
+        rest = A[i + 1 :]
+        f = rest[:, nz[0]]
+        hot = f.nonzero()[0]
+        if p is None or 2 * hot.size > len(rest):
+            sub = f[:, None] * row
+            rest *= a
+            rest -= sub
+            if p is None:
+                rest //= prev  # exact, by Sylvester's identity
+                prev = a
+            else:
+                rest %= p
+        elif hot.size:
+            rest[hot] = (a * rest[hot] - f[hot, None] * row) % p
     return r

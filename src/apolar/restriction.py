@@ -489,10 +489,13 @@ def restricted_rank(forms, H: LinearForm) -> int:
         raise PreconditionError("forms are linearly dependent")
     if not _coprime(forms):
         raise PreconditionError("forms share a nonconstant common divisor")
+    return _restricted_span_rank(forms, H)
+
+
+def _restricted_span_rank(forms, H: LinearForm) -> int:
+    """restricted_rank without its precondition checks."""
     keep = [g for g in _restrict(forms, H) if not g.is_zero]
-    if not keep:
-        return 0
-    return _span_rank(keep)
+    return _span_rank(keep) if keep else 0
 
 
 def quadratic_is_split(q: Form) -> bool:
@@ -619,7 +622,9 @@ def run_restricted_rank_suite(
                 continue
         else:
             raise RuntimeError("could not sample an admissible tuple")
-        if _is_witness(lambda G: restricted_rank(forms, G), H, observed, nvars, rng):
+        if _is_witness(
+            lambda G: _restricted_span_rank(forms, G), H, observed, nvars, rng
+        ):
             report.witnesses.append(
                 Witness(
                     "; ".join(str(f) for f in forms), nvars, str(H), observed

@@ -433,6 +433,70 @@ def test_peel_reaches_its_fixed_point_over_several_rounds(p, monkeypatch):
     assert blocks == [(3, 3)]
 
 
+def _planted_block(p, rng, m, n, k, top):
+    """Entries (row, column, value) of an m x n product of random m x k and
+    k x n factors with entries in 1..9 (rank <= k), at rows and columns top,
+    top + 1, ...; residues mod p unless p is None, zeros left out."""
+    B = [[rng.randint(1, 9) for _ in range(k)] for _ in range(m)]
+    C = [[rng.randint(1, 9) for _ in range(n)] for _ in range(k)]
+    out = []
+    for r in range(m):
+        for c in range(n):
+            v = sum(B[r][t] * C[t][c] for t in range(k))
+            v = v if p is None else v % p
+            if v:
+                out.append((top + r, top + c, v))
+    return out
+
+
+@pytest.mark.parametrize("p", ORACLE_FIELDS, ids=ORACLE_IDS)
+def test_ranks_of_a_batch_whose_blocks_differ_in_shape(p, monkeypatch):
+    fld = QQ if p is None else GF(p)
+    rng = random.Random(f"blocks/{p}")
+    # the chains peel to nothing, so they leave peeled lines around the
+    # blocks and one matrix with no block between matrices with one
+    matrices = [
+        _chain(5, fld, rng) + _planted_block(p, rng, 4, 6, 3, 10),
+        _planted_block(p, rng, 2, 5, 2, 0),
+        _chain(6, fld, rng),
+        _planted_block(p, rng, 3, 3, 2, 0) + _chain(3, fld, rng),
+        _chain(2, fld, rng) + _planted_block(p, rng, 6, 3, 3, 20),
+    ]
+    dtype = object if p == 2**61 - 1 else np.int64
+    blocks = []
+    real = linalg.matrix_rank
+
+    def recording(rows, field):
+        blocks.append((len(rows), len(rows[0])))
+        return real(rows, field)
+
+    monkeypatch.setattr(linalg, "matrix_rank", recording)
+
+    def ranks(batch):
+        owner, rows, cols, values = [], [], [], []
+        for f, entries in enumerate(batch):
+            for r, c, v in entries:
+                owner.append(f)
+                rows.append(100 * f + r)
+                cols.append(100 * f + c)
+                values.append(_integer(fld, v))
+        return apolar.apolarity._ranks(
+            fld, np.array(owner), np.array(rows), np.array(cols),
+            np.array(values, dtype=dtype), len(batch),
+        )
+
+    got = ranks(matrices)
+    assert len(set(blocks)) == len(blocks) >= 3
+    assert got == [ranks([entries])[0] for entries in matrices]
+    oracle = []
+    for entries in matrices:
+        by_row = {}
+        for r, c, v in entries:
+            by_row.setdefault(r, {})[c] = _integer(fld, v)
+        oracle.append(len(span_oracle.span_basis(list(by_row.values()), p)))
+    assert got == oracle
+
+
 def _mixed_batch(fld, rng):
     """Forms of degree 3..6 in 1..16 variables, shuffled: sparse forms with a
     few terms, whose catalecticants mostly peel to nothing; dense forms in

@@ -133,3 +133,90 @@ def test_full_rank_certificate_skips_bareiss(monkeypatch):
     calls = _count_bareiss(monkeypatch)
     assert matrix_rank(rows, QQ) == 6
     assert calls == []
+
+
+# -- the row-pivot kernel ---------------------------------------------------------
+
+KERNEL_PRIMES = [7, 2**31 - 1, 2**61 - 1]
+KERNEL_IDS = ["GF7", "GF31", "GF61"]
+
+
+def _combination(rows, weights, p):
+    """sum_k weights[k] * rows[k], mod p unless p is None."""
+    out = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(len(rows[0]))]
+    return out if p is None else [v % p for v in out]
+
+
+def _band(m, n, draw):
+    """Row k holds columns k-1 and k: at the pivot of row k only row k+1 is
+    hot, so every pivot but the last two updates the hot rows alone."""
+    return [[draw() if c in (k - 1, k) else 0 for c in range(n)] for k in range(m)]
+
+
+def _kernel_matrices(p, rng):
+    """(name, rows) for the kernel, by the update the pivots take; the
+    dependent rows become zero in the middle of the elimination and the
+    zero rows are zero from the start."""
+    draw = (lambda: rng.randint(-9, 9) or 1) if p is None else (lambda: rng.randrange(1, p))
+    dense = [[draw() for _ in range(7)] for _ in range(5)]
+    dense.insert(3, _combination(dense[:2], [2, -3], p))  # zero after two pivots
+    yield "dense", dense
+    band = _band(9, 10, draw)
+    band.insert(4, _combination([band[0], band[2]], [1, 1], p))  # hot at pivots 0-2
+    band.insert(7, [0] * 10)
+    band.insert(8, _combination(band[5:7], [3, -1], p))
+    yield "hot rows", band
+    # a band over the first 6 columns, then dense rows over the last 4
+    mixed = [row + [0] * 4 for row in _band(6, 6, draw)]
+    tail = [[0] * 6 + [draw() for _ in range(4)] for _ in range(4)]
+    mixed += tail + [_combination(tail[:3], [1, 2, 3], p), [0] * 10]
+    mixed.insert(2, _combination([mixed[0], mixed[1]], [5, 1], p))
+    yield "both", mixed
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES, ids=KERNEL_IDS)
+def test_rank_mod_p_matches_oracle_on_every_update(p):
+    rng = random.Random(f"linalg/kernel/{p}")
+    for name, rows in _kernel_matrices(p, rng):
+        want = _oracle_rank(rows, p)
+        assert linalg.rank_mod_p([list(r) for r in rows], p) == want, name
+        assert matrix_rank([list(r) for r in rows], GF(p)) == want, name
+
+
+def test_kernel_matrices_have_the_planted_ranks():
+    rng = random.Random("linalg/kernel/ranks")
+    ranks = {name: _oracle_rank(rows, 7) for name, rows in _kernel_matrices(7, rng)}
+    assert ranks == {"dense": 5, "hot rows": 9, "both": 10}
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES + [None], ids=KERNEL_IDS + ["ZZ"])
+def test_kernels_on_sparse_rank_deficient_matrices(p):
+    # few hot rows per pivot and many cold ones: mod p an update that
+    # touched a cold row, and over the integers (Bareiss) one that skipped
+    # it, would leave a dependent row nonzero or zero an independent one
+    rng = random.Random(f"linalg/sparse-kernel/{p}")
+    draw = (lambda: rng.randint(-9, 9)) if p is None else (lambda: rng.randrange(p))
+    for _ in range(30):
+        m, n = rng.randint(4, 12), rng.randint(4, 12)
+        basis = [
+            [draw() if rng.random() < 0.25 else 0 for _ in range(n)]
+            for _ in range(rng.randint(1, m))
+        ]
+        rows = [
+            _combination(basis, [draw() if rng.random() < 0.4 else 0 for _ in basis], p)
+            for _ in range(m)
+        ]
+        rng.shuffle(rows)
+        if p is None:
+            want = _oracle_rank([[Fraction(v) for v in row] for row in rows], None)
+            assert linalg._bareiss_rank(rows) == want
+        else:
+            assert linalg.rank_mod_p(rows, p) == _oracle_rank(rows, p)
+
+
+def test_bareiss_matches_oracle_on_every_update():
+    rng = random.Random("linalg/kernel/bareiss")
+    for name, rows in _kernel_matrices(None, rng):
+        want = _oracle_rank([[Fraction(v) for v in row] for row in rows], None)
+        assert linalg._bareiss_rank([list(r) for r in rows]) == want, name
+        assert matrix_rank(rows, QQ) == want, name

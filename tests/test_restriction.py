@@ -639,7 +639,7 @@ def test_restricted_rank_witness_needs_every_hyperplane_to_drop_rank(monkeypatch
         hyperplanes.append(str(H))
         return len(forms) - 1
 
-    monkeypatch.setattr(restriction, "restricted_rank", always_drops)
+    monkeypatch.setattr(restriction, "_restricted_span_rank", always_drops)
     rep = run_restricted_rank_suite(1, seed=0)
     # the first hyperplane, then eight redraws from the trial's stream
     assert len(hyperplanes) == 9 and len(set(hyperplanes)) == 9
