@@ -24,33 +24,22 @@ listing is N - 1 minus the key.  The table C(u + j - 1, j) does not depend
 on n, so one table sized for the most variables of the list gives every
 form the keys it has alone; across the list a key is prefixed by the index
 of its form.  Values are int64 while every product fits and Python integers
-in an object array otherwise.  Over QQ each form's coefficients are cleared
-of denominators: that scalar leaves the rank unchanged, and `entries`
-divides it back out.
+in an object array otherwise (linalg.int_dtype).  Over QQ each form's
+coefficients are cleared of denominators: that scalar leaves the rank
+unchanged, and `entries` divides it back out.
 
 c is nonzero and the factor divides e!, a unit once the characteristic is 0
-or exceeds e, which catalecticant requires.  So every entry is nonzero and
-no zero test runs.  `_ranks` keeps only the rows and columns holding an
-entry and peels all matrices of a list at once, repeating two steps until
-neither removes anything.  Both are exact in every field:
-- a column holding a single entry makes its row independent: every other
-  row vanishes in that column, so rank A = 1 + rank(A without the row);
-- a row holding a single entry v at column c pivots out c: subtracting
-  multiples of that row clears column c from every other row and changes
-  nothing else, v is a unit, so rank A = 1 + rank(A without the row and c).
-The rows (columns) removed by one step each own a column (row) where all
-other rows (columns) vanish, so they are independent of each other too and
-each adds one.  Every row and column carries the index of its form, so
-`np.bincount` gives the peeled rank per form.  The lines left are numbered
-once per axis for the whole list, and what is left of each form goes to
-`linalg.matrix_rank` as a list of lists.
+or exceeds e, which every caller of the assembly checks first.  So every
+entry is nonzero, no zero test runs, and the entries go straight to
+`linalg.ranks`, which takes every exact rank of this module: catalecticants
+of a whole list of forms at once, every row and column carrying the index
+of its form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from functools import lru_cache
 
 import numpy as np
@@ -86,12 +75,6 @@ class HilbertFunction(tuple):
         return cls(int(part) for part in text[1:-1].split(","))
 
 
-def _int_dtype(bound: int):
-    """The dtype for integers of absolute value at most bound: int64 when
-    that fits, else object (Python integers)."""
-    return np.int64 if bound < 2**63 else object
-
-
 def _monomial_count(nvars: int, degree: int) -> int:
     return math.comb(nvars + degree - 1, degree) if nvars else int(degree == 0)
 
@@ -106,7 +89,7 @@ def _colex_table(nvars: int, degree: int):
         [0] + [math.comb(u + j - 1, j) for j in range(1, degree + 1)]
         for u in range(nvars)
     ]
-    dtype = _int_dtype(2 * _monomial_count(nvars, degree))
+    dtype = linalg.int_dtype(2 * _monomial_count(nvars, degree))
     return np.array(table, dtype=dtype).reshape(nvars, degree + 1)
 
 
@@ -181,7 +164,7 @@ class _Terms:
                 self.scales.append(scale)
             top = max(map(abs, ints))
         # an entry is a coefficient times a divisor of e!
-        self.coeffs = np.array(ints, dtype=_int_dtype(top * math.factorial(e)))
+        self.coeffs = np.array(ints, dtype=linalg.int_dtype(top * math.factorial(e)))
 
 
 def _assemble(terms: _Terms, i: int):
@@ -241,7 +224,7 @@ def _assemble(terms: _Terms, i: int):
     if count > 1:
         # prefix a key by its form's index: owner * (number of keys) + key
         rows, cols = (
-            owner.astype(_int_dtype(count * size)) * size + keys
+            owner.astype(linalg.int_dtype(count * size)) * size + keys
             for keys, size in (
                 (rows, _monomial_count(terms.nvars, i)),
                 (cols, _monomial_count(terms.nvars, e - i)),
@@ -250,138 +233,29 @@ def _assemble(terms: _Terms, i: int):
     return owner, rows, cols, values
 
 
-def _ranks(field, owner, rows, cols, values, count: int) -> list[int]:
-    """Exact ranks of `count` matrices given by their entries as parallel
-    arrays, matrix by matrix: the index of the matrix, row and column keys
-    that no two matrices share and whose order puts the matrices in order,
-    and the value.  Peels as the module docstring says, then ranks what is
-    left of each matrix with linalg.matrix_rank."""
-    ids, owners = [], []  # per axis: each entry's line, each line's matrix
-    for keys in (rows, cols):
-        # ids 0..size-1 for the distinct keys, in key order
-        order = keys.argsort()
-        ordered = keys[order]
-        new = np.empty(len(keys), bool)
-        new[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        line = np.empty(len(keys), np.intp)
-        line[order] = np.add.accumulate(new, dtype=np.intp) - 1
-        size = int(np.count_nonzero(new))
-        at = np.empty(size, np.intp)
-        at[line] = owner
-        ids.append(line)
-        owners.append(at)
-    ranks = np.zeros(count, np.intp)
-    live = np.arange(len(values))
-    # axis 0: a column with one entry peels its row; axis 1: a row with one
-    # entry peels its column; stop once a step on each axis peels nothing
-    axis = idle = 0
-    while idle < 2 and len(live):
-        line, cross = ids[axis], ids[1 - axis]
-        single = np.bincount(cross, minlength=len(owners[1 - axis])) == 1
-        if single.any():
-            out = np.zeros(len(owners[axis]), bool)
-            out[line[single[cross]]] = True
-            ranks += np.bincount(owners[axis][out], minlength=count)
-            keep = ~out[line]
-            ids = [ids[0][keep], ids[1][keep]]
-            live = live[keep]
-            idle = 0
-        else:
-            idle += 1
-        axis = 1 - axis
-    ranks = ranks.tolist()
-    if not len(live):
-        return ranks
-    # number the leftover lines of each axis once, in key order; a matrix's
-    # lines are consecutive, so its local ids are these minus its first
-    owner = owner[live]
-    local, shape = [], []
-    for line, at in zip(ids, owners):
-        left = np.zeros(len(at), bool)
-        left[line] = True
-        size = np.bincount(at[left], minlength=count)
-        local.append(left.cumsum()[line] - 1 - (size.cumsum() - size)[owner])
-        shape.append(size.tolist())
-    start = 0
-    for f, end in enumerate(np.searchsorted(owner, np.arange(1, count + 1)).tolist()):
-        if end > start:
-            A = np.zeros((shape[0][f], shape[1][f]), values.dtype)
-            A[local[0][start:end], local[1][start:end]] = values[live[start:end]]
-            ranks[f] += linalg.matrix_rank(A.tolist(), field)
-        start = end
-    return ranks
-
-
-class _Entries(Mapping):
-    """{(row, col): nonzero field value}, in the positions of row_monomials
-    and col_monomials.  len() reads the arrays; the dict is built on the
-    first lookup or iteration."""
-
-    __slots__ = ("_field", "_shape", "_rows", "_cols", "_values", "_scale", "_dict")
-
-    def __init__(self, field, shape, rows, cols, values, scale):
-        self._field = field
-        self._shape = shape
-        self._rows = rows
-        self._cols = cols
-        self._values = values
-        self._scale = scale
-        self._dict = None
-
-    def __len__(self):
-        return len(self._values)
-
-    def _built(self) -> dict:
-        if self._dict is None:
-            last_row, last_col = self._shape[0] - 1, self._shape[1] - 1
-            div, scale = self._field.from_ratio, self._scale
-            self._dict = {
-                (last_row - r, last_col - c): div(v, scale)
-                for r, c, v in zip(
-                    self._rows.tolist(), self._cols.tolist(), self._values.tolist()
-                )
-            }
-        return self._dict
-
-    def __getitem__(self, key):
-        return self._built()[key]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def items(self):
-        return self._built().items()
-
-
 class CatalecticantMatrix:
-    """Sparse catalecticant: for every nonzero entry, the colex keys of its
-    row and column and its value times a common scale, as parallel arrays."""
+    """Sparse catalecticant: entries maps (row, col), in the positions of
+    row_monomials and col_monomials, to each nonzero field value; rank()
+    ranks the assembled arrays the entries were built from."""
 
-    __slots__ = (
-        "source_degree",
-        "form_degree",
-        "nvars",
-        "field",
-        "nrows",
-        "ncols",
-        "entries",
-        "_rows",
-        "_cols",
-        "_values",
-    )
+    __slots__ = ("source_degree", "form_degree", "nvars", "field", "nrows", "ncols",
+                 "entries", "_assembled")
 
-    def __init__(self, source_degree, form_degree, nvars, field, rows, cols, values, scale):
+    def __init__(self, source_degree, form_degree, nvars, field, assembled, scale):
         self.source_degree = source_degree
         self.form_degree = form_degree
         self.nvars = nvars
         self.field = field
         self.nrows = _monomial_count(nvars, source_degree)
         self.ncols = _monomial_count(nvars, form_degree - source_degree)
-        self._rows = rows
-        self._cols = cols
-        self._values = values
-        self.entries = _Entries(field, (self.nrows, self.ncols), rows, cols, values, scale)
+        self._assembled = assembled
+        _, rows, cols, values = assembled
+        # a colex key k sits at position N - 1 - k of the graded-lex listing
+        last_row, last_col = self.nrows - 1, self.ncols - 1
+        self.entries = {
+            (last_row - r, last_col - c): field.from_ratio(v, scale)
+            for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())
+        }
 
     @property
     def row_monomials(self):
@@ -399,9 +273,8 @@ class CatalecticantMatrix:
         return out
 
     def rank(self) -> int:
-        """Exact rank, by the peeling of the module docstring."""
-        owner = np.zeros(len(self._values), np.intp)
-        return _ranks(self.field, owner, self._rows, self._cols, self._values, 1)[0]
+        """Exact rank, by linalg.ranks."""
+        return linalg.ranks(self.field, *self._assembled, 1)[0]
 
     def __repr__(self):
         return (
@@ -442,9 +315,8 @@ def catalecticant(F: Form, i: int) -> CatalecticantMatrix:
         )
     _check_characteristic(F)
     terms = _Terms([F])
-    _, rows, cols, values = _assemble(terms, i)
     return CatalecticantMatrix(
-        i, F.degree, F.nvars, F.field, rows, cols, values, terms.scales[0]
+        i, F.degree, F.nvars, F.field, _assemble(terms, i), terms.scales[0]
     )
 
 
@@ -457,12 +329,12 @@ def hilbert_functions(forms) -> list[HilbertFunction]:
     ranked: the entry of Cat_i at (a, b) is c_{a+b} (a+b)!/b!, that of
     Cat_{e-i} at (b, a) is c_{a+b} (a+b)!/a!, so Cat_{e-i} is the transpose
     of Cat_i scaled by factorials below e + 1, which are invertible in the
-    characteristics catalecticant accepts, and h_{e-i} = h_i.
+    characteristics accepted here, and h_{e-i} = h_i.
 
     The forms with one field and one degree are ranked together, in list
     order, in batches of at most _BATCH_TERMS terms (or one form): for each
-    i one assembly and one peel cover a batch, with keys prefixed by the
-    form's index in it."""
+    i one assembly and one linalg.ranks call cover a batch, with keys
+    prefixed by the form's index in it."""
     forms = list(forms)
     groups = {}  # (field, degree) -> batches: [number of terms, form indices]
     for k, F in enumerate(forms):
@@ -481,7 +353,7 @@ def hilbert_functions(forms) -> list[HilbertFunction]:
             if e >= 2:
                 terms = _Terms([forms[k] for k in ks])
                 for i in range(1, e // 2 + 1):
-                    low.append(_ranks(field, *_assemble(terms, i), len(ks)))
+                    low.append(linalg.ranks(field, *_assemble(terms, i), len(ks)))
             for k, h in zip(ks, zip(*low)):
                 out[k] = HilbertFunction(h[min(i, e - i)] for i in range(e + 1))
     return out
@@ -500,4 +372,5 @@ def codimension(F: Form) -> int:
         raise ZeroFormError("codimension of the zero form")
     if F.degree == 0:
         return 0
-    return catalecticant(F, 1).rank()
+    _check_characteristic(F)
+    return linalg.ranks(F.field, *_assemble(_Terms([F]), 1), 1)[0]

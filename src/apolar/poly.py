@@ -67,12 +67,6 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def monomial_index(nvars: int, degree: int) -> dict:
-    """Monomial -> position map in the graded-lex descending listing."""
-    return {m: i for i, m in enumerate(monomials_of_degree(nvars, degree))}
-
-
 def grlex_key(mono):
     return (sum(mono), mono)
 

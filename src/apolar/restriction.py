@@ -16,10 +16,10 @@ restrict_mod is the one-form call of _restrict, which restricts a list of
 forms of one ring by one H in a single pass: the keys of the i-th form
 carry the prefix i (e+1)^n, which no Horner step reaches, so restricted_rank
 restricts its n+1 forms at once.  Keys are int64 while (e+1)^n times the
-number of forms fits and Python integers beyond, the switch of
-apolarity._int_dtype; values are int64 residues for p < 2^31, where the
-product of two fits, and Python objects over QQ and for larger p.  No table
-is kept between calls, since every call draws a new H.
+number of forms fits (linalg.int_dtype), values int64 residues while the
+sum of two products does (linalg.residue_dtype), and Python integers or
+objects otherwise.  No table is kept between calls, since every call draws
+a new H.
 
 "General" hyperplanes are drawn uniformly at random over a large prime
 field with a recorded seed; each trial derives its generator from (seed,
@@ -53,14 +53,13 @@ its own, so no suite draw changes.  _plane_images maps all forms of a
 question at once: the terms of every form are stacked as rows of binary
 coefficients, each term's linear factors a_v s + b_v t are multiplied in by
 one shifted multiply-add per factor for all terms together, and
-np.add.reduceat sums the rows of each form; values are int64 residues for
-p < 2^31 and Python objects otherwise, as in restrict_mod.  The partials
-question takes its images from the factors instead: the substitution is a
-ring map, so each cofactor's image is a sum of products of the binary
-images of the factors and their partials (a step of _coprime_on_plane),
-and no multivariate product is built.  Only when the plane test fails does
-the exact multivariate gcd (form_gcd) run, so verdicts never depend on the
-plane.
+np.add.reduceat sums the rows of each form, values in the dtype of
+restrict_mod.  The partials question takes its images from the factors
+instead: the substitution is a ring map, so each cofactor's image is a sum
+of products of the binary images of the factors and their partials (a step
+of _coprime_on_plane), and no multivariate product is built.  Only when
+the plane test fails does the exact multivariate gcd (form_gcd) run, so
+verdicts never depend on the plane.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .apolarity import _int_dtype, codimension
+from .apolarity import codimension
 from .errors import (
     HypothesisError,
     MixedRingsError,
@@ -81,7 +80,7 @@ from .errors import (
     ZeroFormError,
 )
 from .fields import DEFAULT_FIELD, random_nonzero
-from .poly import Form, form_gcd, monomial_index, monomials_of_degree, random_form
+from .poly import Form, form_gcd, monomials_of_degree, random_form
 
 
 _INDEX_BITS = 20
@@ -194,11 +193,11 @@ def _restrict(forms, H: LinearForm) -> list:
         return [Form.zero(n, fld) for _ in forms]
     base = max(f.degree for f in forms) + 1
     span = base**n
-    key_type = _int_dtype(span * len(forms))
+    key_type = linalg.int_dtype(span * len(forms))
     place = [base**j for j in range(n)]
     weights = np.array(place[:piv] + [0] + place[piv:], key_type)
     p = fld.char
-    val_type = np.int64 if 0 < p < 2**31 else object
+    val_type = linalg.residue_dtype(p)
     inv = fld.inv(H.coeffs[piv])
     lin = [i for i, a in enumerate(H.coeffs) if i != piv and not fld.is_zero(a)]
     shifts = weights[lin]
@@ -272,7 +271,7 @@ def _plane_images(forms, a, b) -> list:
     fld = forms[0].field
     n = forms[0].nvars
     p = fld.char
-    val_type = np.int64 if 0 < p < 2**31 else object
+    val_type = linalg.residue_dtype(p)
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         return [Form.zero(2, fld) for _ in forms]
@@ -454,10 +453,7 @@ def _codim_drop_trial(F: Form, rng, report: TrialReport):
 
 def _span_rank(forms) -> int:
     """Dimension of the span of nonzero forms of one ring and one degree."""
-    index = monomial_index(forms[0].nvars, forms[0].degree)
-    entries = {
-        (k, index[m]): c for k, f in enumerate(forms) for m, c in f.coeffs.items()
-    }
+    entries = {(k, m): c for k, f in enumerate(forms) for m, c in f.coeffs.items()}
     return linalg.sparse_rank(entries, forms[0].field)
 
 

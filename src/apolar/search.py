@@ -13,9 +13,9 @@ deterministic structured forms: the power sum and the padded or truncated
 bipartite forms.  The bound search takes the least of them.  Interval
 realization appends one fixed chain of sums of powers to them: the power
 sum, then one binary power (y_i + y_j)^e per step, the pairs i < j in
-lexicographic order, so the chain ends exactly at C(r+1,2).  Every form
-certifies the value its own Hilbert function has, structured forms first,
-and every value no form has is reported as a gap.  Neither draws random
+lexicographic order, so the chain ends exactly at C(r+1,2).  Each value
+keeps the form with the fewest terms that has it, the first on ties, and
+every value no form has is reported as a gap.  Neither draws random
 numbers; only the descent check of `gic_verify` draws hyperplanes.  The
 forms of one search or one realization, the certificates of one bound
 table and the restricted forms of all descent rows are each ranked in one
@@ -26,10 +26,12 @@ eliminating the variable of least degree in F among those H involves,
 ties going to the lowest index.  Any variable H involves parametrizes the
 same hyperplane {H = 0}, so two such restrictions differ by an invertible
 linear change of coordinates in the remaining variables, which keeps every
-catalecticant rank and keeps the zero form zero.  Every structured
-certificate has a variable of degree 1 in a single term, so its
-restriction has at most len(F.coeffs) + F.nvars terms, where eliminating a
-pure power y^e would expand it into the C(n + e - 2, e) terms of L^e.
+catalecticant rank and keeps the zero form zero.  From r = 2 on, every
+stored certificate has a variable of degree 1 in a single term (the padded
+m = 1 bipartite form has the power sum's value with one term fewer), so
+its restriction has at most len(F.coeffs) + F.nvars terms, where
+eliminating a pure power y^e would expand it into the C(n + e - 2, e)
+terms of L^e.
 """
 
 from __future__ import annotations
@@ -300,32 +302,38 @@ def _candidate_h2(items) -> list:
     ]
 
 
+def _fewest_terms(forms, e: int, r: int) -> dict[int, Form]:
+    """{a: form} over the forms of the target shape, ranked in one batch:
+    for each degree-2 entry a, the form with the fewest terms, the first on
+    ties."""
+    forms = list(forms)
+    certs = {}
+    for F, a in zip(forms, _candidate_h2((F, e, r) for F in forms)):
+        if a is not None and (a not in certs or len(F.coeffs) < len(certs[a].coeffs)):
+            certs[a] = F
+    return certs
+
+
 def search_min_h2(e: int, r: int, fld=DEFAULT_FIELD) -> FBoundEntry:
     """Smallest verified degree-2 entry among the structured forms of
     `_structured_forms`: the power sum and the padded or truncated
-    bipartite forms.  Ties prefer fewer terms, then the form seen first.
-    Nothing is drawn at random."""
+    bipartite forms.  Ties prefer fewer terms, then the form seen first
+    (`_fewest_terms`).  Nothing is drawn at random."""
     if e not in (4, 5):
         raise ValueError(f"unsupported socle degree {e}")
     if not 1 <= r <= MAX_SEARCH_R[e]:
         raise ValueError(f"codimension {r} outside 1..{MAX_SEARCH_R[e]}")
     known = known_min_h2(e, r)
-    best = None  # (bound, number of terms, Form)
-    forms = list(_structured_forms(e, r, fld))
-    for F, a in zip(forms, _candidate_h2((F, e, r) for F in forms)):
-        if a is None:
-            continue
-        if known is not None and a < known:
-            log.warning(
-                "dropping a mod-p certificate below the exact minimum "
-                "(e=%d r=%d observed %d < %d)",
-                e, r, a, known,
-            )
-            continue
-        if best is None or (a, len(F.coeffs)) < best[:2]:
-            best = (a, len(F.coeffs), F)
-    bound, _, F = best
-    return FBoundEntry.from_form(F, e, r, bound)
+    certs = _fewest_terms(_structured_forms(e, r, fld), e, r)
+    low = [a for a in certs if a < (known or 0)]
+    for a in low:
+        log.warning(
+            "dropping a mod-p certificate below the exact minimum "
+            "(e=%d r=%d observed %d < %d)",
+            e, r, a, known,
+        )
+    bound = min(a for a in certs if a not in low)
+    return FBoundEntry.from_form(certs[bound], e, r, bound)
 
 
 def classify_h_vector(e: int, r: int, a: int, table=()) -> str:
@@ -365,7 +373,8 @@ def realize_interval(e: int, r: int, fld=DEFAULT_FIELD) -> dict[int, Form]:
     linearly independent once the characteristic exceeds e, each pair
     bringing its own y_i y_j (or y_i^2 y_j).  The whole list is ranked in
     one batch, and each form certifies the value its own Hilbert function
-    has, the first in the list winning.  Nothing is drawn at random.
+    has, the one with the fewest terms winning, then the first in the list
+    (`_fewest_terms`).  Nothing is drawn at random.
     Raises RealizationGapError listing every value left without a
     certificate."""
     if e not in (4, 5):
@@ -380,9 +389,7 @@ def realize_interval(e: int, r: int, fld=DEFAULT_FIELD) -> dict[int, Form]:
         L = LinearForm([int(t in (i, j)) for t in range(r)], fld)
         chain = chain + L.as_form() ** e
         forms.append(chain)
-    certs = {}
-    for F, a in zip(forms, _candidate_h2((F, e, r) for F in forms)):
-        certs.setdefault(a, F)
+    certs = _fewest_terms(forms, e, r)
     certs = {a: certs[a] for a in range(known, cap + 1) if a in certs}
     gaps = [a for a in range(known, cap + 1) if a not in certs]
     if gaps:

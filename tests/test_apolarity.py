@@ -19,6 +19,7 @@ from apolar import (
     ZeroFormError,
     apply_operator,
     catalecticant,
+    codim_drop_check,
     codimension,
     hilbert_function,
     hilbert_functions,
@@ -92,6 +93,25 @@ def test_codimension_counts_essential_variables():
     # y0^2 + 2 y0 y1 + y1^2 = (y0+y1)^2 has one essential variable
     assert codimension(parse_form("y0^2 + 2*y0*y1 + y1^2", 2, QQ)) == 1
     assert codimension(Form.constant(3, QQ, QQ.one)) == 0
+
+
+def test_codimension_refuses_a_characteristic_up_to_the_degree():
+    F = parse_form("y0^7 + y1^7", 2, GF(7))
+    with pytest.raises(ValueError, match="characteristic 7 does not exceed the degree 7"):
+        codimension(F)
+
+
+def test_codimension_needs_no_catalecticant_matrix(monkeypatch):
+    # codimension ranks Cat_1 from the assembled arrays, as hilbert_functions
+    # does, so neither it nor the codimension-drop check builds a matrix
+    def refuse(F, i):
+        raise AssertionError("built a CatalecticantMatrix")
+
+    monkeypatch.setattr(apolar.apolarity, "catalecticant", refuse)
+    assert codimension(power_sum_form(6, 3, QQ)) == 6
+    assert codimension(parse_form("y0^2 + 2*y0*y1 + y1^2", 2, QQ)) == 1
+    report = codim_drop_check(power_sum_form(5, 4, DEFAULT_FIELD), trials=3, seed=3)
+    assert report.ok and report.trials == 3
 
 
 def test_permutation_invariance():
@@ -386,7 +406,7 @@ def _chain(length, fld, rng):
 
 
 def _integer(fld, v):
-    """v as the integer the assembly hands to _ranks."""
+    """v as the integer the assembly hands to linalg.ranks."""
     return v.numerator if fld is QQ else v
 
 
@@ -413,7 +433,7 @@ def test_peel_reaches_its_fixed_point_over_several_rounds(p, monkeypatch):
         return real(rows, field)
 
     monkeypatch.setattr(linalg, "matrix_rank", recording)
-    got = apolar.apolarity._ranks(
+    got = linalg.ranks(
         fld,
         np.array(owner),
         np.array(rows),
@@ -480,7 +500,7 @@ def test_ranks_of_a_batch_whose_blocks_differ_in_shape(p, monkeypatch):
                 rows.append(100 * f + r)
                 cols.append(100 * f + c)
                 values.append(_integer(fld, v))
-        return apolar.apolarity._ranks(
+        return linalg.ranks(
             fld, np.array(owner), np.array(rows), np.array(cols),
             np.array(values, dtype=dtype), len(batch),
         )

@@ -6,10 +6,12 @@ most ranks over QQ before Bareiss."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import span_oracle
 from apolar import GF, QQ, linalg
+from apolar.fields import is_prime
 from apolar.linalg import matrix_rank, sparse_rank
 
 FIELDS = [(QQ, None), (GF(7), 7), (GF(2**31 - 1), 2**31 - 1), (GF(2**61 - 1), 2**61 - 1)]
@@ -94,6 +96,15 @@ def test_empty_matrices_have_rank_zero(fld, p):
     assert matrix_rank([], fld) == 0
     assert matrix_rank([[]], fld) == 0
     assert sparse_rank({}, fld) == 0
+
+
+def test_residues_leave_int64_at_the_first_prime_past_2_31():
+    # the sum of two products of residues must fit int64: 2 (p-1)^2 < 2^63
+    assert is_prime(2**31 - 1) and is_prime(2**31 + 11)
+    assert linalg.residue_dtype(7) is linalg.residue_dtype(2**31 - 1) is np.int64
+    assert linalg.residue_dtype(2**31 + 11) is linalg.residue_dtype(2**61 - 1) is object
+    assert linalg.residue_dtype(0) is object  # QQ
+    assert linalg.int_dtype(2**63 - 1) is np.int64 and linalg.int_dtype(2**63) is object
 
 
 def _count_bareiss(monkeypatch):

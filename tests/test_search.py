@@ -25,6 +25,7 @@ from apolar import (
     hilbert_function,
     hilbert_functions,
     known_min_h2,
+    load_table,
     max_h2,
     padded_form,
     power_sum_form,
@@ -33,6 +34,7 @@ from apolar import (
     search_min_h2,
     verify_certificate,
 )
+from apolar.cli import run
 from apolar.poly import monomials_of_degree
 
 
@@ -377,6 +379,13 @@ def test_gic_descent_restrictions_stay_sparse(monkeypatch, e, r_lo, r_hi):
     # eliminating it replaces that term by at most nvars - 1 terms; the last
     # variable is a pure power y^e, whose elimination expands a dense L^e
     # (4368 terms at e = 5, r = 13)
+    table = [search_min_h2(e, r) for r in range(r_lo, r_hi + 1)]
+    _check_descent_sizes(monkeypatch, e, r_lo, r_hi, table)
+
+
+def _check_descent_sizes(monkeypatch, e, r_lo, r_hi, table):
+    """gic_verify passes on table, and each descent row restricts its
+    certificate F to at most len(F.coeffs) + F.nvars terms."""
     sizes = []
 
     def counting(F, H):
@@ -384,11 +393,24 @@ def test_gic_descent_restrictions_stay_sparse(monkeypatch, e, r_lo, r_hi):
         sizes.append((len(G.coeffs), len(F.coeffs) + F.nvars))
         return G
 
-    table = [search_min_h2(e, r) for r in range(r_lo, r_hi + 1)]
     monkeypatch.setattr(apolar.search, "restrict_mod", counting)
     assert gic_verify(e, r_lo, r_hi, table, seed=0).ok
-    assert len(sizes) == r_hi - r_lo + 1
+    assert len(sizes) == r_hi - max(r_lo, 3) + 1
     assert all(got <= cap for got, cap in sizes), sizes
+
+
+@pytest.mark.parametrize("e,r_hi", [(4, 13), (5, 16)])
+def test_gic_descents_stay_sparse_on_a_cache_filled_by_realize(
+    tmp_path, capsys, monkeypatch, e, r_hi
+):
+    # realize stores the certificate of its least value, the one with the
+    # fewest terms; the power sum has that value too, and its restriction
+    # would expand L^e (11628 terms at e = 5, r = 16)
+    cache = str(tmp_path / "bounds.json")
+    for r in range(3, r_hi + 1):
+        assert run(["realize", "--e", str(e), "--r", str(r), "--cache", cache]) == 0
+    capsys.readouterr()
+    _check_descent_sizes(monkeypatch, e, 3, r_hi, load_table(cache))
 
 
 def test_gic_verify_incomplete_table():
